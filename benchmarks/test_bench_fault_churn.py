@@ -2,31 +2,24 @@
 
 A flapping link is the worst case for the epoch-versioned routing
 cache: every transition bumps ``state_version``, so each flap forces an
-epoch change between decisions.  PR 1's full-invalidation cache flushes
-the LVN table and every Dijkstra tree per flap; delta maintenance
-patches the single flapped link and keeps the rest warm.
+epoch change between decisions, and the cache flushes the LVN table and
+every Dijkstra tree.
 
 The storm comes from the fault-injection subsystem itself: a seeded
 :class:`~repro.faults.FaultSchedule` of link flaps replayed by a
-:class:`~repro.faults.FaultInjector` on the sim clock.  Running the
-*same* seeded schedule against both services keeps the decision streams
-comparable, and the bit-for-bit equivalence assert inside ``measure``
-is the real acceptance criterion — a cache that is fast but wrong under
-churn would stream over a dead link.
+:class:`~repro.faults.FaultInjector` on the sim clock.  The *same*
+seeded schedule runs against three services — routing cache off, epoch
+routing cache, epoch routing cache plus the whole-decision memo — which
+keeps the decision streams comparable.  The bit-for-bit equivalence
+asserts inside ``measure`` are the real acceptance criterion: a cache
+that is fast but wrong under churn would stream over a dead link.
 
-Acceptance bars: decisions stay bit-for-bit identical (including
-identical refusals while a storm severs every path), every flap epoch
-is absorbed as a delta patch (zero full flushes), the cache still
-answers a majority of lookups from memory despite an epoch change on
-every flap, and the delta path's decision rate does not regress badly
-against the flush-per-epoch baseline.
-
-A third service runs the same storm with the whole-decision memo on
-top: it must stay bit-for-bit too, absorb every epoch as a delta, and
-answer at least as many whole decisions warm as the tree layer keeps
-trees valid without repair work (the decision-level floor — see the
-comment in the test for why the blended routing hit rate above is not
-the right baseline).
+Acceptance bars: decisions stay bit-for-bit identical across all three
+(including identical refusals while a storm severs every path), the
+routing cache still answers a majority of lookups from memory despite
+an epoch change on every flap, and the memo answers at least as many
+whole decisions warm as the tree layer answers trees warm.  The three
+decision rates are printed, not gated.
 """
 
 import time
@@ -49,15 +42,14 @@ MEAN_FLAP_S = 60.0
 STORM_SEED = 23
 
 
-def build_service(delta_on, decision_cache_size=0):
+def build_service(routing_cache_size, decision_cache_size=0):
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     service = VoDService(
         Simulator(),
         topology,
         ServiceConfig(
-            routing_cache_size=128,
-            routing_delta_updates=delta_on,
+            routing_cache_size=routing_cache_size,
             decision_cache_size=decision_cache_size,
             use_reported_stats=False,
         ),
@@ -102,70 +94,52 @@ def churn_rate(service, schedule):
 def measure():
     schedule = flap_schedule()
     assert len(schedule) > 0  # the storm actually storms
-    full = build_service(delta_on=False)
-    delta = build_service(delta_on=True)
-    memo = build_service(delta_on=True, decision_cache_size=128)
+    off = build_service(routing_cache_size=0)
+    epoch = build_service(routing_cache_size=128)
+    memo = build_service(routing_cache_size=128, decision_cache_size=128)
     for home in HOMES:  # warm all caches before timing
-        full.decide(home, "movie")
-        delta.decide(home, "movie")
+        off.decide(home, "movie")
+        epoch.decide(home, "movie")
         memo.decide(home, "movie")
-    full_rate, full_decisions = churn_rate(full, schedule)
-    delta_rate, delta_decisions = churn_rate(delta, schedule)
+    off_rate, off_decisions = churn_rate(off, schedule)
+    epoch_rate, epoch_decisions = churn_rate(epoch, schedule)
     memo_rate, memo_decisions = churn_rate(memo, schedule)
-    assert delta_decisions == full_decisions  # bit-for-bit under the storm
-    assert memo_decisions == full_decisions  # ... with the decision memo too
+    assert epoch_decisions == off_decisions  # bit-for-bit under the storm
+    assert memo_decisions == off_decisions  # ... with the decision memo too
     return (
-        full_rate,
-        delta_rate,
+        off_rate,
+        epoch_rate,
         memo_rate,
-        delta.vra.cache_stats,
+        epoch.vra.cache_stats,
         memo.vra.decision_cache_stats,
     )
 
 
 def test_fault_churn_cache_behaviour(benchmark, show):
-    full_rate, delta_rate, memo_rate, stats, memo_stats = benchmark.pedantic(
+    off_rate, epoch_rate, memo_rate, stats, memo_stats = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
+    tree_lookups = stats.tree_hits + stats.tree_misses
     show(
         f"Fault churn [GRNET, seeded link-flap storm, "
-        f"{FLAP_RATE_PER_H:.0f} flaps/h]: {full_rate:,.0f} decisions/s "
-        f"full-invalidation vs {delta_rate:,.0f} delta "
-        f"({delta_rate / full_rate:.1f}x) vs {memo_rate:,.0f} with the "
+        f"{FLAP_RATE_PER_H:.0f} flaps/h]: {off_rate:,.0f} decisions/s "
+        f"cache-off vs {epoch_rate:,.0f} epoch cache "
+        f"({epoch_rate / off_rate:.1f}x) vs {memo_rate:,.0f} with the "
         f"decision memo, routing hit rate {stats.hit_rate:.1%} "
-        f"(tree survival w/o repair "
-        f"{(stats.tree_hits - stats.trees_repaired) / (stats.tree_hits + stats.tree_misses):.1%}), "
+        f"(tree hit rate {stats.tree_hits / tree_lookups:.1%}), "
         f"decision hit rate {memo_stats.hit_rate:.1%}\n"
-        + render_routing_cache(stats, title="Link-flap churn delta counters")
+        + render_routing_cache(stats, title="Link-flap churn routing-cache counters")
         + "\n"
         + render_decision_cache(
             memo_stats, title="Link-flap churn decision-memo counters"
         )
     )
-    # Whole-decision memoization under the same storm.  A flap storm is
-    # the memo's worst case: a decision survives an epoch only if its
-    # shortest-path tree is provably untouched, so its hit rate is
-    # bounded by *tree* survival — the blended routing-cache rate above
-    # it is inflated by LVN weight-table patches that count as hits even
-    # when every tree re-roots.  The apples-to-apples floor is the tree
-    # layer's no-repair survival rate: whenever the tree layer kept a
-    # tree warm without repair work, the memo must have answered the
-    # whole decision warm too (same tree_unaffected proof, and the memo
-    # skips the holder poll and min-cost scan on top).
-    tree_lookups = stats.tree_hits + stats.tree_misses
-    tree_survival = (stats.tree_hits - stats.trees_repaired) / tree_lookups
-    assert memo_stats.hit_rate >= tree_survival
+    # Whole-decision memoization under the same storm.  A decision
+    # survives only within one epoch, exactly like a cached tree, and the
+    # memo skips the holder poll and min-cost scan on top, so its hit
+    # rate is held to the tree layer's.
+    assert memo_stats.hit_rate >= stats.tree_hits / tree_lookups
     assert memo_stats.hit_rate > 0.0
-    assert memo_stats.full_invalidations == 0
-    assert memo_stats.decisions_dropped + memo_stats.decisions_refreshed > 0
-    # Every flap is a real epoch change, absorbed as a handful of
-    # single-link patches: no full flush, a majority of lookups answered
-    # warm.  (On a 7-link graph the patch work costs about as much wall
-    # clock as a recompute, so the rate bar only guards against the
-    # delta path regressing badly — the counters above are the
-    # deterministic acceptance.)
-    assert delta_rate >= 0.7 * full_rate
+    # Every flap is a real epoch change; the cache must still answer a
+    # majority of lookups from memory.
     assert stats.hit_rate >= 0.5
-    assert stats.full_invalidations == 0
-    assert stats.partial_invalidations > 0
-    assert stats.dirty_links > 0

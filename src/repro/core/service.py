@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.changes import JournalCursor
 from repro.client.client import Client
 from repro.client.requests import VideoRequest
 from repro.core.admission_queue import (
@@ -55,7 +54,7 @@ from repro.errors import (
     TitleUnavailableError,
 )
 from repro.network.flows import FlowManager
-from repro.network.link import STATE_CHANGE, Link
+from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
@@ -153,18 +152,6 @@ class ServiceConfig:
             The cache is also auto-disabled when
             ``use_server_load_in_vra`` is on, because live stream-slot
             occupancy feeds the weights without a version counter.
-        routing_delta_updates: Delta-scoped cache invalidation (requires
-            an active routing cache).  When on, routing epochs are
-            absorbed by patching only the weight-table entries whose
-            links actually changed — drained from the topology and
-            database change journals — and by revalidating cached
-            Dijkstra trees in place, instead of flushing the whole cache
-            per epoch.  Decisions stay bit-for-bit identical (journal
-            overflow falls back to the full flush); this only changes
-            how much work an epoch transition costs, which the
-            ``benchmarks/test_bench_incremental_lvn.py`` drumbeat
-            scenarios measure.  Off restores PR 1's flush-per-epoch
-            behaviour exactly.
         compiled_routing: Route the VRA's weight-table builds and Dijkstra
             runs through the array-compiled topology snapshot
             (:class:`~repro.network.compiled.TopologySnapshot`): the
@@ -175,9 +162,8 @@ class ServiceConfig:
             kernels reproduce the python path down to the last ulp and to
             dict insertion order (the equivalence property suites pin
             this) — so the knob only changes what a cache/memo miss
-            costs.  On by default; turn off (or uninstall numpy — the
-            snapshot then runs its plain-list backend, still faster than
-            the object loops) to get PR 7's exact execution path.
+            costs.  On by default; turn off to price every decision with
+            the paper-faithful python LVN/Dijkstra loops (the test oracle).
             Ignored when ``use_server_load_in_vra`` is on, because the
             compiled kernel implements the paper's exact eq. (2) without
             the workload extension.
@@ -187,11 +173,12 @@ class ServiceConfig:
             title, holder availability signature, QoS class)`` are
             answered from one cached :class:`VraDecision` instead of
             re-running the poll/LVN/Dijkstra pipeline — the flash-crowd
-            fast path.  Epoch transitions invalidate delta-scoped: only
-            decisions whose Dijkstra tree a changed link could touch are
-            dropped.  Decisions are bit-for-bit identical either way.
-            ``0`` (default) disables it; requires an active routing
-            cache (same ``use_server_load_in_vra`` caveat).
+            fast path.  Every routing-epoch change flushes it along with
+            the routing cache.  Decisions are bit-for-bit identical
+            either way.  ``0`` (default) disables it; a positive size
+            requires an active routing cache (``routing_cache_size > 0``
+            and ``use_server_load_in_vra`` off), or the service refuses
+            to build.
         admission_queue_capacity: Enables the load-leveling admission
             front-end (:class:`~repro.core.admission_queue.AdmissionQueue`)
             when > 0: requests drain from a bounded deterministic FIFO at
@@ -247,8 +234,8 @@ class ServiceConfig:
             weight to look saturated (reported-stats path only).  After
             ``breaker_cooldown_s`` the breaker half-opens and the next
             success closes it.  Transitions ride the existing
-            version-counter/journal machinery — no new invalidation
-            paths.  ``0`` (default) disables breakers entirely.
+            version-counter machinery — no new invalidation paths.
+            ``0`` (default) disables breakers entirely.
         breaker_window_s: Sliding failure-count window.
         breaker_cooldown_s: Open-state dwell before the half-open probe.
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
@@ -299,7 +286,6 @@ class ServiceConfig:
     placement: Optional[PlacementConfig] = None
     vra_trace: bool = False
     routing_cache_size: int = 128
-    routing_delta_updates: bool = True
     compiled_routing: bool = True
     decision_cache_size: int = 0
     admission_queue_capacity: int = 0
@@ -374,6 +360,14 @@ class VoDService:
         self.sim = sim
         self.topology = topology
         self.config = config if config is not None else ServiceConfig()
+        if self.config.decision_cache_size > 0 and (
+            self.config.routing_cache_size == 0
+            or self.config.use_server_load_in_vra
+        ):
+            raise ServiceError(
+                "decision_cache_size > 0 requires the routing cache: set "
+                "routing_cache_size > 0 and use_server_load_in_vra=False"
+            )
         #: Structured event trace (disabled by default); categories:
         #: request.submitted / request.blocked, vra.decision,
         #: placement.pass (plus the legacy dma.pass alias under the
@@ -539,19 +533,6 @@ class VoDService:
         # Live server load feeds the weights without a version counter, so
         # epoch caching cannot see those changes; fall back to recompute.
         cacheable = not self.config.use_server_load_in_vra
-        delta_on = (
-            cacheable
-            and self.config.routing_delta_updates
-            and self.config.routing_cache_size > 0
-        )
-        # Journal cursors for delta-scoped invalidation.  Starting at the
-        # current heads skips the initialisation-phase records; the VRA's
-        # first (cold) weight build snapshots every link anyway.
-        self._topo_cursor = JournalCursor(
-            topology.change_journal,
-            kinds=(STATE_CHANGE,) if self.config.use_reported_stats else None,
-        )
-        self._stats_cursor = JournalCursor(self.database.stats_journal)
         # On the reported-stats path the staleness guard and open link
         # breakers interpose on the used-bandwidth reads; without either
         # the plain reader keeps the default path byte-identical.
@@ -567,12 +548,7 @@ class VoDService:
             trace=self.config.vra_trace,
             epoch_of=self.routing_epoch if cacheable else None,
             cache_size=self.config.routing_cache_size,
-            delta_of=self._routing_delta if delta_on else None,
-            decision_cache_size=(
-                self.config.decision_cache_size
-                if self.config.routing_cache_size > 0
-                else 0
-            ),
+            decision_cache_size=self.config.decision_cache_size,
             metrics=self.obs,
             compiled=self.config.compiled_routing,
         )
@@ -1050,7 +1026,7 @@ class VoDService:
             ):
                 # Stamped outside the VRA so its memo keeps the unmarked
                 # decision; the replay layer below stores the marked one
-                # (safe: every stale-set flip touches the journaled links,
+                # (safe: every stale-set flip touches the stale links,
                 # which stales the freshness token).
                 decision = replace(decision, degraded=True)
             if token is not None:
@@ -1120,7 +1096,7 @@ class VoDService:
         class of change the availability version covers; any memoized
         decision still naming the server is evicted defensively.  A link
         breaker changes that link's effective weight, which is exactly
-        what a reported-stats write would — so it is journaled as one.
+        what a reported-stats write would — so it is touched as one.
         """
         if kind == KIND_SERVER:
             self._bump_availability()
@@ -1225,24 +1201,6 @@ class VoDService:
             self.topology.traffic_version,
             self.topology.state_version,
         )
-
-    def _routing_delta(self) -> Optional[FrozenSet[str]]:
-        """Names of links whose VRA-visible inputs may have moved.
-
-        Drains this service's cursors on the change journals that back
-        :meth:`routing_epoch`: on the reported-stats path, structural
-        topology changes (online/offline, expansion) plus database
-        value changes; on the ground-truth path, every topology change.
-        Returns None when a journal overflowed — the caller (the routing
-        cache's delta probe) then falls back to a full flush.
-        """
-        if self.config.use_reported_stats:
-            structural = self._topo_cursor.drain()
-            reported = self._stats_cursor.drain()
-            if structural is None or reported is None:
-                return None
-            return structural | reported
-        return self._topo_cursor.drain()
 
     def snapshot(self) -> Dict[str, object]:
         """One-call operational snapshot of the running service.

@@ -18,7 +18,7 @@ path — which is what the case-study benchmarks print.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.core.lvn import (
     DEFAULT_NORMALIZATION_CONSTANT,
@@ -26,7 +26,6 @@ from repro.core.lvn import (
     UsedBandwidthFn,
     weight_table,
 )
-from repro.core.lvn_delta import IncrementalLvnTable
 from repro.errors import (
     NoReachableHolderError,
     ReproError,
@@ -52,12 +51,6 @@ PollFn = Callable[[str], bool]
 #: Routing-epoch provider: an opaque hashable token that changes whenever
 #: any input of the LVN equations or Dijkstra could have changed.
 EpochFn = Callable[[], Hashable]
-
-#: Dirty-link provider backing delta-scoped cache invalidation: the names
-#: of every link whose routing-visible inputs may have moved since the
-#: previous call (drained from the topology/database change journals), or
-#: None when the journals overflowed and only a full flush is safe.
-DeltaFn = Callable[[], Optional[FrozenSet[str]]]
 
 
 @dataclass(frozen=True)
@@ -127,14 +120,6 @@ class VirtualRoutingAlgorithm:
             exactly the paper's Figure 5.
         cache_size: LRU bound on cached Dijkstra trees; ``0`` disables
             caching entirely even when ``epoch_of`` is given.
-        delta_of: Optional dirty-link provider.  When given alongside an
-            active cache (and ``node_load`` is None — the incremental
-            table does not model the workload extension), epoch
-            transitions are absorbed by patching the LVN table for just
-            the dirty links and revalidating cached Dijkstra trees
-            in place, instead of flushing everything.  A None return
-            from the provider (journal overflow) falls back to the full
-            flush, so the delta path can never change a decision.
         decision_cache_size: LRU bound on whole memoized decisions
             (:class:`~repro.network.routing.cache.DecisionCache`).  Only
             active alongside the routing cache; ``0`` (the default)
@@ -146,8 +131,7 @@ class VirtualRoutingAlgorithm:
         metrics: Optional telemetry registry; when given (and enabled)
             the VRA counts decisions / local serves, records a
             candidate-count histogram under the ``vra.*`` families, and
-            exposes the cache's delta-maintenance counters under
-            ``routing.*``.
+            the decision cache's ``decision.*`` counters.
         compiled: Route weight-table builds and Dijkstra runs through the
             array-compiled :class:`~repro.network.compiled.TopologySnapshot`
             instead of the per-link python loops.  Output is bit-for-bit
@@ -169,7 +153,6 @@ class VirtualRoutingAlgorithm:
         trace: bool = False,
         epoch_of: Optional[EpochFn] = None,
         cache_size: int = DEFAULT_TREE_CAPACITY,
-        delta_of: Optional[DeltaFn] = None,
         decision_cache_size: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         compiled: bool = False,
@@ -188,28 +171,15 @@ class VirtualRoutingAlgorithm:
                 f"routing cache size must be >= 0, got {cache_size!r}"
             )
         cacheable = epoch_of is not None and cache_size > 0
-        self._delta_of = delta_of
-        self._incremental: Optional[IncrementalLvnTable] = (
-            IncrementalLvnTable(
-                topology, used_of, normalization_constant, snapshot=self._snapshot
-            )
-            if cacheable and delta_of is not None and node_load is None
-            else None
-        )
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(
-                max_trees=cache_size,
-                delta_probe=self._delta_probe if self._incremental is not None else None,
-            )
-            if cacheable
-            else None
+            RoutingCache(max_trees=cache_size) if cacheable else None
         )
         if decision_cache_size < 0:
             raise ReproError(
                 f"decision cache size must be >= 0, got {decision_cache_size!r}"
             )
         #: Whole-decision memo (None unless sized and the routing cache
-        #: is active — the decision layer leans on its epoch transitions).
+        #: is active — the decision layer flushes on its epoch transitions).
         self.decision_cache: Optional[DecisionCache] = (
             DecisionCache(max_decisions=decision_cache_size)
             if cacheable and decision_cache_size > 0
@@ -232,8 +202,6 @@ class VirtualRoutingAlgorithm:
             subsystem="core",
             description="available remote candidates per routed decision",
         )
-        if self.cache is not None and metrics is not None:
-            self.cache.attach_metrics(metrics)
         if self.decision_cache is not None and metrics is not None:
             self.decision_cache.attach_metrics(metrics)
 
@@ -248,11 +216,6 @@ class VirtualRoutingAlgorithm:
         return (
             self.decision_cache.stats if self.decision_cache is not None else None
         )
-
-    @property
-    def delta_maintenance(self) -> bool:
-        """True when the cache patches epochs from dirty-link deltas."""
-        return self._incremental is not None
 
     def count_replayed(self, decision: "VraDecision", candidate_count: int) -> None:
         """Telemetry parity for a decision replayed by an outer memo layer.
@@ -281,20 +244,9 @@ class VirtualRoutingAlgorithm:
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
-        if self._incremental is not None:
-            # Rebase the incremental table on the exact cold result the
-            # cache stores, so later patches start from cached truth.
-            return self._incremental.rebuild()
         if self._snapshot is not None:
             return self._snapshot.weight_table(self._used_of, self._k)
         return weight_table(self._topology, self._used_of, self._k, self._node_load)
-
-    def _delta_probe(self):
-        """Cache callback: patched (table, deltas), or None to full-flush."""
-        dirty = self._delta_of()
-        if dirty is None:
-            return None
-        return self._incremental.patch(dirty)
 
     def _routing_state(self, home_uid: str) -> "tuple[Dict[str, float], DijkstraResult]":
         """The LVN table and shortest-path tree for one decision.
@@ -305,11 +257,7 @@ class VirtualRoutingAlgorithm:
         callers treat as read-only audit state.
         """
         if self.cache is None:
-            if (
-                self._snapshot is not None
-                and self._incremental is None
-                and not self._trace
-            ):
+            if self._snapshot is not None and not self._trace:
                 # Cache-less hot path: fused snapshot call (one version
                 # check, no weight-token round-trip).
                 return self._snapshot.routing_state(home_uid, self._used_of, self._k)
@@ -374,15 +322,15 @@ class VirtualRoutingAlgorithm:
         self._m_decisions.inc()
         memo = self.decision_cache
         if memo is not None and cache_key is not None:
-            # One epoch sync covers both cache layers; the decision cache
-            # scopes its invalidation to the same transition the routing
-            # cache just absorbed (or flushed on).  The epoch compare is
-            # inlined so the overwhelmingly common unchanged-epoch case
-            # costs one tuple comparison, not a sync round-trip.
+            # One epoch sync covers both cache layers: when the routing
+            # cache flushes, the decision cache flushes with it.  The epoch
+            # compare is inlined so the overwhelmingly common
+            # unchanged-epoch case costs one tuple comparison, not a sync
+            # round-trip.
             cache = self.cache
             epoch = self._epoch_of()
-            if epoch != cache.epoch:
-                memo.apply(cache.sync(epoch))
+            if epoch != cache.epoch and cache.sync(epoch):
+                memo.flush()
             entry = memo.get(cache_key)
             if entry is not None:
                 decision: VraDecision = entry.decision
@@ -417,7 +365,7 @@ class VirtualRoutingAlgorithm:
                 path=Path(nodes=(home_uid,), cost=0.0),
             )
             if memo is not None:
-                memo.put(cache_key, decision, tree=None)
+                memo.put(cache_key, decision)
             return decision
 
         # Single pass: each remote holder is polled exactly once and lands
@@ -466,5 +414,5 @@ class VirtualRoutingAlgorithm:
             polled_out=polled_out,
         )
         if memo is not None:
-            memo.put(cache_key, decision, tree=result, candidate_count=len(available))
+            memo.put(cache_key, decision, candidate_count=len(available))
         return decision

@@ -111,12 +111,8 @@ def render_routing_cache(stats: Optional[RoutingCacheStats], title: str = "") ->
     table = render_table(headers, rows, title=caption)
     return (
         f"{table}\n"
-        f"invalidations (epoch changes): {stats.invalidations} "
-        f"({stats.full_invalidations} full flush(es), "
-        f"{stats.partial_invalidations} delta patch(es) over "
-        f"{stats.dirty_links} dirty link(s)); "
-        f"trees repaired in place: {stats.trees_repaired}, "
-        f"rerooted: {stats.trees_rerooted}; "
+        f"invalidations (epoch changes): {stats.invalidations}; "
+        f"trees discarded by them: {stats.trees_rerooted}; "
         f"LRU evictions: {stats.evictions}"
     )
 
@@ -139,11 +135,9 @@ def render_decision_cache(stats: Optional[DecisionCacheStats], title: str = "") 
         ["Hits", str(stats.hits)],
         ["Misses", str(stats.misses)],
         ["Hit rate", f"{stats.hit_rate:.2%}" if total else "-"],
-        ["Full flushes", str(stats.full_invalidations)],
-        ["Delta revalidations", str(stats.partial_invalidations)],
+        ["Flushes (epoch changes)", str(stats.invalidations)],
         ["Decisions flushed", str(stats.decisions_flushed)],
-        ["Decisions dropped (tree hit by delta)", str(stats.decisions_dropped)],
-        ["Decisions refreshed (weights rebased)", str(stats.decisions_refreshed)],
+        ["Decisions dropped (server breaker)", str(stats.decisions_dropped)],
         ["LRU evictions", str(stats.evictions)],
     ]
     return render_table(headers, rows, title=caption)

@@ -11,7 +11,7 @@ reproducibly.  This package provides:
   timelines or seeded Poisson fault storms, replayable bit-for-bit;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: applies a
   schedule against a running :class:`~repro.core.service.VoDService` on
-  the sim clock, depth-counting overlapping windows, journaling every
+  the sim clock, depth-counting overlapping windows, versioning every
   mutation through the production change surfaces, and keeping the
   deterministic counters the resilience report is built from.
 

@@ -3,10 +3,10 @@
 The :class:`FaultInjector` turns a :class:`~repro.faults.schedule.FaultSchedule`
 into simulator events — one injection and one recovery per fault — and
 drives every mutation through the exact surfaces the production code
-already journals:
+already versions:
 
 * link flaps flip :attr:`Link.online` (value-aware, bumps the link's
-  state version → routing epoch, change journal);
+  state version → routing epoch);
 * bandwidth shortages add background traffic via
   :meth:`Link.set_background_mbps` (traffic version), remembering the
   *applied* delta so a capacity-clamped shortage is undone exactly;

@@ -12,7 +12,7 @@ so an existing node pair can never resolve differently).  Reservation is
 check-then-commit: every link's free capacity is validated up front with
 the exact acceptance test :meth:`~repro.network.link.Link.reserve` applies,
 and only then are the links mutated — a failed admission touches nothing
-(no reserve/rollback churn in the link telemetry or the change journal).
+(no reserve/rollback churn in the link telemetry or the version counters).
 """
 
 from __future__ import annotations

@@ -19,19 +19,9 @@ reproduces lives in the database values themselves, not in the act of
 recomputing, so memoization preserves it exactly (the VRA still sees
 exactly the last SNMP sample).
 
-Epoch transitions come in two flavours.  Without a ``delta_probe`` the
-cache behaves as in PR 1: a new epoch token flushes everything (a *full*
-invalidation).  With a probe — wired up by the VRA from the topology and
-database change journals plus an incremental LVN table — the cache first
-asks it for ``(patched_weight_table, link_deltas)``; on success only the
-deltas are applied (a *partial* invalidation): the weight table is
-swapped for the patched copy and each cached Dijkstra tree is kept iff
-:func:`~repro.network.routing.dijkstra.tree_unaffected` proves it
-bit-for-bit valid against every delta (kept = *repaired*; dropped =
-*rerooted* lazily on the next request).  The probe returning None — the
-journals overflowed, or there is no base table yet — degrades to the
-full flush, so delta maintenance can only ever cost performance, never
-correctness.
+A new epoch token flushes everything (an *invalidation*): the weight
+table and every cached tree are dropped and recompute lazily on the next
+request.
 
 ``max_trees=0`` disables the cache entirely: every call computes fresh
 and no counters move, restoring the uncached behaviour exactly.
@@ -40,11 +30,11 @@ and no counters move, restoring the uncached behaviour exactly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.errors import ReproError
-from repro.network.routing.dijkstra import DijkstraResult, LinkDelta, tree_unaffected
+from repro.network.routing.dijkstra import DijkstraResult
 from repro.obs.phase import NO_PHASE_TIMER, PhaseTimer
 from repro.obs.registry import NULL_COUNTER, Counter, MetricsRegistry
 
@@ -57,38 +47,6 @@ DEFAULT_TREE_CAPACITY = 128
 #: concurrent crowds.
 DEFAULT_DECISION_CAPACITY = 4096
 
-#: Signature of the delta probe: None means "cannot patch, flush fully";
-#: otherwise the patched weight table plus the link deltas to revalidate
-#: cached trees against.
-DeltaProbe = Callable[[], Optional[Tuple[Dict[str, float], List[LinkDelta]]]]
-
-#: ``EpochTransition.kind`` values.
-EPOCH_INITIAL = "initial"
-EPOCH_FULL = "full"
-EPOCH_PARTIAL = "partial"
-
-
-@dataclass(frozen=True)
-class EpochTransition:
-    """How the routing cache absorbed one epoch change.
-
-    Returned by :meth:`RoutingCache.sync` so layers stacked above the
-    routing cache (the :class:`DecisionCache`) can scope their own
-    invalidation to the same event without re-draining the change
-    journals:
-
-    * ``initial`` — the cache's very first epoch; nothing was cached yet.
-    * ``full`` — everything was flushed (no delta probe, or the probe
-      could not patch).
-    * ``partial`` — the epoch was absorbed in place: ``weights`` is the
-      post-patch LVN table and ``deltas`` lists exactly the links whose
-      weight or online state moved (empty for a no-op epoch).
-    """
-
-    kind: str
-    weights: Optional[Dict[str, float]] = None
-    deltas: Tuple[LinkDelta, ...] = ()
-
 
 @dataclass
 class RoutingCacheStats:
@@ -99,17 +57,13 @@ class RoutingCacheStats:
         weight_misses: LVN table requests that recomputed.
         tree_hits: Dijkstra-tree requests answered from cache.
         tree_misses: Dijkstra-tree requests that recomputed.
-        full_invalidations: Epoch transitions that flushed everything
-            (no delta probe, or the probe could not patch).
-        partial_invalidations: Epoch transitions absorbed by patching
-            the weight table and revalidating trees against link deltas.
-        dirty_links: Link deltas applied across all partial
-            invalidations (0 deltas = a no-op epoch, the steady-SNMP
-            case).
-        trees_repaired: Cached trees proven still valid in place across
-            a non-empty delta batch.
-        trees_rerooted: Cached trees dropped by delta revalidation (they
+        invalidations: Epoch transitions that flushed the cache (the
+            first epoch a cache sees is not counted).
+        trees_rerooted: Cached trees discarded by those flushes (they
             recompute lazily, from their own source only, on next use).
+        trees_repaired: Always 0; kept readable for external readers of
+            the earlier in-place tree-repair counter.
+        dirty_links: Always 0; kept readable for the same reason.
         evictions: Trees dropped by the LRU bound (not by invalidation).
     """
 
@@ -117,21 +71,11 @@ class RoutingCacheStats:
     weight_misses: int = 0
     tree_hits: int = 0
     tree_misses: int = 0
-    full_invalidations: int = 0
-    partial_invalidations: int = 0
-    dirty_links: int = 0
-    trees_repaired: int = 0
+    invalidations: int = 0
     trees_rerooted: int = 0
+    trees_repaired: int = 0
+    dirty_links: int = 0
     evictions: int = 0
-
-    @property
-    def invalidations(self) -> int:
-        """Total epoch transitions handled (full flushes + partials).
-
-        PR 1 dashboards read this name; it keeps meaning "epochs the
-        cache had to react to" now that most of them no longer flush.
-        """
-        return self.full_invalidations + self.partial_invalidations
 
     @property
     def hits(self) -> int:
@@ -157,10 +101,6 @@ class RoutingCacheStats:
             "tree_hits": self.tree_hits,
             "tree_misses": self.tree_misses,
             "invalidations": self.invalidations,
-            "full_invalidations": self.full_invalidations,
-            "partial_invalidations": self.partial_invalidations,
-            "dirty_links": self.dirty_links,
-            "trees_repaired": self.trees_repaired,
             "trees_rerooted": self.trees_rerooted,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
@@ -173,29 +113,21 @@ class RoutingCache:
 
     Args:
         max_trees: LRU bound on cached trees; ``0`` disables the cache.
-        delta_probe: Optional callable consulted on every epoch
-            transition; see the module docstring.  None restores PR 1's
-            flush-on-every-epoch behaviour.
 
     The cache holds state for exactly one epoch at a time: the first
-    lookup under a new epoch token either patches the previous epoch's
-    state via the delta probe or flushes it (counted as a partial or
-    full invalidation respectively).  Keeping only the live epoch is
+    lookup under a new epoch token flushes the previous epoch's state
+    (counted as an invalidation).  Keeping only the live epoch is
     deliberate — stale epochs can never be asked for again, because the
     version counters feeding the token are monotonic.
     """
 
     max_trees: int = DEFAULT_TREE_CAPACITY
-    delta_probe: Optional[DeltaProbe] = None
     stats: RoutingCacheStats = field(default_factory=RoutingCacheStats)
     _epoch: Optional[Hashable] = field(default=None, repr=False)
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
     _trees: "OrderedDict[str, DijkstraResult]" = field(
         default_factory=OrderedDict, repr=False
     )
-    _m_partial: Counter = field(default=NULL_COUNTER, repr=False, compare=False)
-    _m_dirty: Counter = field(default=NULL_COUNTER, repr=False, compare=False)
-    _m_repaired: Counter = field(default=NULL_COUNTER, repr=False, compare=False)
     #: Wall-clock timer around epoch transitions (obs.phase.cache_sync_ms);
     #: the service swaps in a live timer when phase profiling is on.
     phase_timer: PhaseTimer = field(default=NO_PHASE_TIMER, repr=False, compare=False)
@@ -253,75 +185,31 @@ class RoutingCache:
             self.stats.evictions += 1
         return result
 
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Resolve the delta-maintenance counters from a registry."""
-        self._m_dirty = registry.counter(
-            "routing.dirty_links", subsystem="network",
-            description="link deltas applied across partial cache invalidations",
-        )
-        self._m_partial = registry.counter(
-            "routing.partial_invalidations", subsystem="network",
-            description="epoch transitions absorbed by delta-patching the cache",
-        )
-        self._m_repaired = registry.counter(
-            "routing.trees_repaired", subsystem="network",
-            description="cached Dijkstra trees revalidated in place after deltas",
-        )
-
     def clear(self) -> None:
         """Drop all cached state (counters are preserved)."""
         self._epoch = None
         self._weights = None
         self._trees.clear()
 
-    def sync(self, epoch: Hashable) -> Optional[EpochTransition]:
-        """Bring the cache onto ``epoch``; returns how it got there.
+    def sync(self, epoch: Hashable) -> bool:
+        """Bring the cache onto ``epoch``; True when live state was flushed.
 
         Called implicitly by :meth:`weights`/:meth:`tree`, and explicitly
-        by the :class:`DecisionCache` layer, which forwards the returned
-        :class:`EpochTransition` into its own invalidation pass.  Returns
-        None when the epoch is unchanged (nothing to do).
+        by the VRA, which flushes the :class:`DecisionCache` on a True
+        answer.  The first epoch and an unchanged epoch answer False.
         """
         if epoch == self._epoch:
-            return None
+            return False
         t_phase = self.phase_timer.start()
-        try:
-            return self._sync_changed(epoch)
-        finally:
-            self.phase_timer.stop(t_phase)
-
-    def _sync_changed(self, epoch: Hashable) -> EpochTransition:
-        if self._epoch is not None and self.delta_probe is not None:
-            patched = self.delta_probe()
-            if patched is not None:
-                table, deltas = patched
-                self.stats.partial_invalidations += 1
-                self.stats.dirty_links += len(deltas)
-                self._m_partial.inc()
-                if deltas:
-                    self._m_dirty.inc(len(deltas))
-                self._epoch = epoch
-                self._weights = table
-                if deltas and self._trees:
-                    survivors: "OrderedDict[str, DijkstraResult]" = OrderedDict()
-                    for source, result in self._trees.items():
-                        if all(tree_unaffected(result, d) for d in deltas):
-                            survivors[source] = result
-                            self.stats.trees_repaired += 1
-                            self._m_repaired.inc()
-                        else:
-                            self.stats.trees_rerooted += 1
-                    self._trees = survivors
-                return EpochTransition(
-                    EPOCH_PARTIAL, weights=table, deltas=tuple(deltas)
-                )
-        initial = self._epoch is None
-        if not initial:
-            self.stats.full_invalidations += 1
+        flushed = self._epoch is not None
+        if flushed:
+            self.stats.invalidations += 1
+            self.stats.trees_rerooted += len(self._trees)
         self._epoch = epoch
         self._weights = None
         self._trees.clear()
-        return EpochTransition(EPOCH_INITIAL if initial else EPOCH_FULL)
+        self.phase_timer.stop(t_phase)
+        return flushed
 
 
 @dataclass
@@ -331,31 +219,19 @@ class DecisionCacheStats:
     Attributes:
         hits: Decisions answered whole from cache.
         misses: Lookups that fell through to a full VRA run.
-        full_invalidations: Epoch transitions that flushed every decision.
-        partial_invalidations: Epoch transitions absorbed by revalidating
-            decisions against the link deltas.
-        decisions_flushed: Decisions dropped by full invalidations.
-        decisions_dropped: Decisions dropped because a link delta touched
-            their shortest-path tree.
-        decisions_refreshed: Decisions kept across a weight-changing delta
-            batch, with their audit weight table rebased onto the patched
-            one (choice, path and cost provably unchanged).
+        invalidations: Epoch transitions that flushed every decision.
+        decisions_flushed: Decisions dropped by those flushes.
+        decisions_dropped: Decisions dropped because a circuit-breaker
+            transition touched their chosen server.
         evictions: Decisions dropped by the LRU bound.
     """
 
     hits: int = 0
     misses: int = 0
-    full_invalidations: int = 0
-    partial_invalidations: int = 0
+    invalidations: int = 0
     decisions_flushed: int = 0
     decisions_dropped: int = 0
-    decisions_refreshed: int = 0
     evictions: int = 0
-
-    @property
-    def invalidations(self) -> int:
-        """Total epoch transitions handled (full flushes + partials)."""
-        return self.full_invalidations + self.partial_invalidations
 
     @property
     def hit_rate(self) -> float:
@@ -369,11 +245,8 @@ class DecisionCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "full_invalidations": self.full_invalidations,
-            "partial_invalidations": self.partial_invalidations,
             "decisions_flushed": self.decisions_flushed,
             "decisions_dropped": self.decisions_dropped,
-            "decisions_refreshed": self.decisions_refreshed,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
@@ -381,10 +254,9 @@ class DecisionCacheStats:
 
 @dataclass
 class _DecisionEntry:
-    """One memoized decision plus the state its validity hangs on."""
+    """One memoized decision plus its replayed telemetry sample."""
 
     decision: object
-    tree: Optional[DijkstraResult]
     candidate_count: int
 
 
@@ -397,25 +269,14 @@ class DecisionCache:
     one routing epoch, so a 10k-request flash crowd costs one Dijkstra
     run plus 10k dict hits.
 
-    Invalidation contract (what evicts a whole decision vs. a tree):
+    Invalidation contract:
 
-    * A **full** epoch transition flushes everything, exactly like the
-      routing cache underneath.
-    * A **partial** transition (delta-patched epoch) drops only decisions
-      whose shortest-path tree a :class:`LinkDelta` could have touched —
-      the same :func:`tree_unaffected` proof the routing cache runs for
-      its trees, memoized per distinct tree so a crowd of decisions over
-      one tree is judged once.  Locally-served decisions reference no
-      tree and survive every delta.
-    * Surviving routed decisions are *refreshed*: their audit ``weights``
-      table is rebased onto the patched table (``dataclasses.replace`` on
-      the frozen decision), because that is the table a cold run after
-      the delta would embed.  Choice, path and cost are provably
-      unchanged, so the refreshed decision stays bit-for-bit equal to a
-      cache-off recompute.
-    * Availability churn that never touches a journal — a holder filling
-      its last stream slot, a title evicted by the DMA — is carried by
-      the *key* (the holder signatures change), not by invalidation.
+    * An epoch transition that flushes the routing cache underneath
+      flushes every decision too (:meth:`flush`).
+    * Availability churn that moves no routing-epoch counter — a holder
+      filling its last stream slot, a title evicted by the DMA — is
+      carried by the *key* (the holder signatures change), not by
+      invalidation.
 
     ``max_decisions=0`` disables the cache entirely: lookups miss, stores
     are dropped, and no counters move.
@@ -433,7 +294,6 @@ class DecisionCache:
         self._full = False
         self._m_hits: Counter = NULL_COUNTER
         self._m_misses: Counter = NULL_COUNTER
-        self._m_refreshed: Counter = NULL_COUNTER
         self._m_dropped: Counter = NULL_COUNTER
 
     @property
@@ -471,7 +331,6 @@ class DecisionCache:
         self,
         key: Hashable,
         decision: object,
-        tree: Optional[DijkstraResult],
         candidate_count: int = 0,
     ) -> None:
         """Memoize ``decision`` under ``key`` (LRU-bounded).
@@ -480,60 +339,24 @@ class DecisionCache:
             key: The full decision key; the caller guarantees that equal
                 keys within one epoch imply bit-identical decisions.
             decision: The decision object to hand back on hits.
-            tree: The Dijkstra tree the decision was derived from, or
-                None for locally-served decisions (which then survive
-                every link delta).
             candidate_count: Polled-up remote candidates, replayed into
                 the ``vra.candidates`` histogram on hits so telemetry
                 matches a cache-off run.
         """
         if not self._on:
             return
-        self._entries[key] = _DecisionEntry(decision, tree, candidate_count)
+        self._entries[key] = _DecisionEntry(decision, candidate_count)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_decisions:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
         self._full = len(self._entries) >= self.max_decisions
 
-    def apply(self, transition: Optional[EpochTransition]) -> None:
-        """Absorb one routing-epoch transition (from :meth:`RoutingCache.sync`)."""
-        if transition is None or transition.kind == EPOCH_INITIAL:
-            return
-        if transition.kind == EPOCH_FULL:
-            if self._entries:
-                self.stats.decisions_flushed += len(self._entries)
-                self._entries.clear()
-                self._full = False
-            self.stats.full_invalidations += 1
-            return
-        self.stats.partial_invalidations += 1
-        deltas = transition.deltas
-        if not deltas or not self._entries:
-            return
-        table = transition.weights
-        verdicts: Dict[int, bool] = {}
-        survivors: "OrderedDict[Hashable, _DecisionEntry]" = OrderedDict()
-        for key, entry in self._entries.items():
-            tree = entry.tree
-            if tree is None:  # local serve: no routing state involved
-                survivors[key] = entry
-                continue
-            verdict = verdicts.get(id(tree))
-            if verdict is None:
-                verdict = all(tree_unaffected(tree, d) for d in deltas)
-                verdicts[id(tree)] = verdict
-            if not verdict:
-                self.stats.decisions_dropped += 1
-                self._m_dropped.inc()
-                continue
-            if getattr(entry.decision, "weights", None) is not table:
-                entry.decision = replace(entry.decision, weights=table)
-                self.stats.decisions_refreshed += 1
-                self._m_refreshed.inc()
-            survivors[key] = entry
-        self._entries = survivors
-        self._full = len(self._entries) >= self.max_decisions
+    def flush(self) -> None:
+        """Drop every decision because the routing epoch moved (counted)."""
+        self.stats.invalidations += 1
+        self.stats.decisions_flushed += len(self._entries)
+        self.clear()
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Resolve the ``decision.*`` counters from a registry."""
@@ -545,23 +368,19 @@ class DecisionCache:
             "decision.misses", subsystem="core",
             description="decision-cache lookups that ran the full VRA",
         )
-        self._m_refreshed = registry.counter(
-            "decision.refreshed", subsystem="core",
-            description="cached decisions rebased in place across link deltas",
-        )
         self._m_dropped = registry.counter(
             "decision.dropped", subsystem="core",
-            description="cached decisions evicted by a link delta on their tree",
+            description="cached decisions evicted by a server breaker transition",
         )
 
     def evict_server(self, uid: str) -> int:
         """Drop every cached decision whose chosen source is ``uid``.
 
         Circuit-breaker transitions change which servers the service's
-        holder filter admits without moving any journal-backed version
-        counter; the service evicts the transitioning server's decisions
-        here so a probe (or a re-opened breaker) can never replay a
-        choice made under the previous breaker state.
+        holder filter admits without moving any routing-epoch counter;
+        the service evicts the transitioning server's decisions here so a
+        probe (or a re-opened breaker) can never replay a choice made
+        under the previous breaker state.
 
         Returns:
             The number of decisions dropped.

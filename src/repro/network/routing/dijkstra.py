@@ -16,8 +16,7 @@ the benchmark reports the delta explicitly.
 Determinism contract: ties are broken by node uid (not by relaxation
 history), and a relaxation only wins on a *strict* improvement.  The
 result is therefore a pure function of (topology, online set, weights),
-which is what lets :func:`tree_unaffected` prove that a cached tree is
-bit-for-bit identical to a fresh run after a set of link deltas.
+which is what lets the compiled kernel reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -159,8 +158,7 @@ def dijkstra(
     steps: List[DijkstraStep] = []
     # Ties break on the node uid, so settlement order — and therefore the
     # predecessor tree — depends only on the final weights, never on the
-    # order relaxations happened to occur in.  The tree-revalidation rules
-    # of :func:`tree_unaffected` rely on this.
+    # order relaxations happened to occur in.
     heap: List[Tuple[float, str]] = [(0.0, source)]
 
     while heap:
@@ -192,96 +190,6 @@ def dijkstra(
     return DijkstraResult(
         source=source, distances=distances, predecessors=predecessors, steps=steps
     )
-
-
-@dataclass(frozen=True)
-class LinkDelta:
-    """One link's routing-relevant change between two weight snapshots.
-
-    Produced by the incremental LVN table
-    (:class:`repro.core.lvn_delta.IncrementalLvnTable`) and consumed by
-    :func:`tree_unaffected` to decide whether a cached Dijkstra tree is
-    still bit-for-bit valid.
-
-    Attributes:
-        link: The link that changed.
-        old_weight: LVN before the change (None if the link is new).
-        new_weight: LVN after the change.
-        was_online: Online state before the change (False for new links).
-        now_online: Online state after the change.
-    """
-
-    link: Link
-    old_weight: Optional[float]
-    new_weight: float
-    was_online: bool
-    now_online: bool
-
-
-def tree_unaffected(result: DijkstraResult, delta: LinkDelta) -> bool:
-    """True if ``delta`` provably leaves ``result`` bit-for-bit identical.
-
-    The rules are sound but conservative: a True verdict guarantees that a
-    fresh :func:`dijkstra` run over the post-delta weights would return the
-    exact distances and predecessors already cached; a False verdict only
-    means the proof failed, and the caller re-roots from scratch.
-
-    Soundness leans on the determinism contract (uid tie-break + strict
-    relaxation): the final predecessor of a node is the earliest-settled
-    neighbor achieving its final distance, so transient relaxations that a
-    changed link adds or removes cannot alter the output as long as no
-    final distance moves and no settlement-order tie is disturbed.
-
-    Per-delta rules (``u``/``v`` the endpoints, ``d`` the cached
-    distances):
-
-    * offline before and after — the link is invisible to both runs.
-    * removal (online -> offline): safe iff the link is not a tree edge;
-      every cached shortest path survives, so no distance moves.
-    * insertion (offline -> online, or a brand-new link): safe if both
-      endpoints are unreachable (the edge stays outside the routed
-      component); unsafe if exactly one is reachable (new reachability);
-      with both reachable, safe iff ``min(du, dv) + w_new > max(du, dv)``
-      *strictly* — equality would let the new edge become the
-      earliest-settled achiever and steal a predecessor.
-    * weight change on a live link: unsafe on a tree edge; on a non-tree
-      edge, treat as remove-then-insert (the strict bound above, with the
-      new weight).
-
-    The rules compose: a batch of deltas that each pass individually is
-    jointly safe, because passing removals keep every cached distance
-    achievable and passing insertions keep every cached distance optimal.
-    """
-    link = delta.link
-    if not delta.was_online and not delta.now_online:
-        return True
-
-    u, v = link.a_uid, link.b_uid
-    preds = result.predecessors
-    is_tree_edge = preds.get(u) == v or preds.get(v) == u
-
-    if delta.was_online and not delta.now_online:
-        return not is_tree_edge
-
-    du = result.distances.get(u)
-    dv = result.distances.get(v)
-    if not delta.was_online:  # insertion
-        if du is None and dv is None:
-            return True
-        if du is None or dv is None:
-            return False
-        return min(du, dv) + delta.new_weight > max(du, dv)
-
-    # Online throughout: a pure weight change.
-    if is_tree_edge:
-        return False
-    if du is None and dv is None:
-        return True
-    if du is None or dv is None:
-        # An online link with exactly one reachable endpoint cannot occur
-        # in a consistent cached run; refuse the proof rather than trust it.
-        return False
-    return min(du, dv) + delta.new_weight > max(du, dv)
 
 
 def _snapshot_step(

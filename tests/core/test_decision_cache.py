@@ -1,7 +1,7 @@
 """Unit tests for the whole-decision memo and its service wiring.
 
 Covers the :class:`~repro.network.routing.cache.DecisionCache` mechanics
-directly (LRU, hit/miss accounting, epoch-transition invalidation), then
+directly (LRU, hit/miss accounting, epoch-change flushes), then
 the :class:`~repro.core.service.VoDService` integration: the freshness
 token that powers the same-state replay layer (pinned against
 ``routing_epoch()`` as promised in the service source), the availability
@@ -14,18 +14,11 @@ import dataclasses
 import pytest
 
 from repro.core.service import ServiceConfig, VoDService
+from repro.core.vra import VirtualRoutingAlgorithm
 from repro.database.records import LinkStats
-from repro.errors import ReproError, RoutingError
+from repro.errors import ReproError, RoutingError, ServiceError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
-from repro.network.link import Link
-from repro.network.routing.cache import (
-    EPOCH_FULL,
-    EPOCH_INITIAL,
-    EPOCH_PARTIAL,
-    DecisionCache,
-    EpochTransition,
-)
-from repro.network.routing.dijkstra import DijkstraResult, LinkDelta
+from repro.network.routing.cache import DecisionCache
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
@@ -34,10 +27,9 @@ MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
 @dataclasses.dataclass(frozen=True)
 class FakeDecision:
-    """Minimal stand-in with the ``weights`` field the refresh rebases."""
+    """Minimal stand-in for a memoized decision."""
 
     label: str
-    weights: object = None
 
 
 # --------------------------------------------------------------------- #
@@ -51,7 +43,7 @@ class TestDecisionCacheUnit:
     def test_size_zero_is_inert_passthrough(self):
         cache = DecisionCache(max_decisions=0)
         assert not cache.enabled
-        cache.put("k", FakeDecision("d"), tree=None)
+        cache.put("k", FakeDecision("d"))
         assert cache.get("k") is None
         assert len(cache) == 0
         assert cache.stats.hits == 0 and cache.stats.misses == 0
@@ -59,7 +51,7 @@ class TestDecisionCacheUnit:
     def test_hit_miss_and_peek_accounting(self):
         cache = DecisionCache(max_decisions=4)
         assert cache.get("k") is None
-        cache.put("k", FakeDecision("d"), tree=None, candidate_count=2)
+        cache.put("k", FakeDecision("d"), candidate_count=2)
         entry = cache.get("k")
         assert entry.decision.label == "d"
         assert entry.candidate_count == 2
@@ -70,81 +62,46 @@ class TestDecisionCacheUnit:
 
     def test_lru_evicts_least_recently_used(self):
         cache = DecisionCache(max_decisions=2)
-        cache.put("a", FakeDecision("a"), tree=None)
-        cache.put("b", FakeDecision("b"), tree=None)
+        cache.put("a", FakeDecision("a"))
+        cache.put("b", FakeDecision("b"))
         cache.get("a")  # refresh "a" so "b" is the LRU victim
-        cache.put("c", FakeDecision("c"), tree=None)
+        cache.put("c", FakeDecision("c"))
         assert cache.peek("a") is not None
         assert cache.peek("b") is None
         assert cache.peek("c") is not None
         assert cache.stats.evictions == 1
 
     def test_initial_and_none_transitions_are_noops(self):
-        cache = DecisionCache(max_decisions=4)
-        cache.put("k", FakeDecision("d"), tree=None)
-        cache.apply(None)
-        cache.apply(EpochTransition(EPOCH_INITIAL))
-        assert cache.peek("k") is not None
-        assert cache.stats.invalidations == 0
+        # The VRA flushes its memo only when the routing cache reports a
+        # flush: the first epoch and an unchanged epoch are no-ops.
+        epoch = [0]
+        vra = VirtualRoutingAlgorithm(
+            build_grnet_topology(),
+            epoch_of=lambda: epoch[0],
+            decision_cache_size=4,
+        )
+        vra.decide("U2", "movie", ["U4"], cache_key="k")
+        vra.decide("U2", "movie", ["U4"], cache_key="k")
+        stats = vra.decision_cache_stats
+        assert (stats.hits, stats.invalidations) == (1, 0)
+        epoch[0] += 1
+        vra.decide("U2", "movie", ["U4"], cache_key="k")
+        assert (stats.misses, stats.invalidations, stats.decisions_flushed) == (
+            2, 1, 1
+        )
 
     def test_full_transition_flushes_everything(self):
         cache = DecisionCache(max_decisions=4)
-        cache.put("k1", FakeDecision("d1"), tree=None)
-        cache.put("k2", FakeDecision("d2"), tree=None)
-        cache.apply(EpochTransition(EPOCH_FULL))
+        cache.put("k1", FakeDecision("d1"))
+        cache.put("k2", FakeDecision("d2"))
+        cache.flush()
         assert len(cache) == 0
-        assert cache.stats.full_invalidations == 1
+        assert cache.stats.invalidations == 1
         assert cache.stats.decisions_flushed == 2
-
-    def test_partial_transition_scopes_drops_to_touched_trees(self):
-        # Tree rooted at A over link A-B; the delta hits that tree edge.
-        touched_tree = DijkstraResult(
-            source="A",
-            distances={"A": 0.0, "B": 1.0},
-            predecessors={"A": None, "B": "A"},
-        )
-        # Tree of a disjoint component: the delta's endpoints are
-        # unreachable from it, so the proof keeps it bit-for-bit valid.
-        spared_tree = DijkstraResult(
-            source="C", distances={"C": 0.0}, predecessors={"C": None}
-        )
-        delta = LinkDelta(
-            link=Link("A", "B", capacity_mbps=10.0),
-            old_weight=1.0,
-            new_weight=2.0,
-            was_online=True,
-            now_online=True,
-        )
-        table = {"A-B": 2.0}
-        cache = DecisionCache(max_decisions=8)
-        cache.put("dropped", FakeDecision("routed"), tree=touched_tree)
-        cache.put("spared", FakeDecision("routed", weights={}), tree=spared_tree)
-        cache.put("local", FakeDecision("local"), tree=None)
-        cache.apply(
-            EpochTransition(EPOCH_PARTIAL, weights=table, deltas=(delta,))
-        )
-        assert cache.peek("dropped") is None
-        assert cache.peek("local") is not None  # no routing state involved
-        spared = cache.peek("spared")
-        assert spared is not None
-        assert spared.decision.weights is table  # rebased onto the patch
-        stats = cache.stats
-        assert stats.partial_invalidations == 1
-        assert stats.decisions_dropped == 1
-        assert stats.decisions_refreshed == 1
-
-    def test_empty_delta_batch_keeps_everything_untouched(self):
-        cache = DecisionCache(max_decisions=4)
-        decision = FakeDecision("d", weights={"L": 1.0})
-        cache.put("k", decision, tree=None)
-        cache.apply(EpochTransition(EPOCH_PARTIAL, weights={}, deltas=()))
-        assert cache.peek("k").decision is decision
-        assert cache.stats.partial_invalidations == 1
-        assert cache.stats.decisions_refreshed == 0
 
     def test_clear_preserves_counters(self):
         cache = DecisionCache(max_decisions=4)
-        cache.put("k", FakeDecision("d"), tree=None)
+        cache.put("k", FakeDecision("d"))
         cache.get("k")
         cache.clear()
         assert len(cache) == 0
@@ -180,9 +137,18 @@ def report_traffic(service: VoDService, label: str = "8am") -> None:
 
 class TestServiceWiring:
     def test_decision_cache_rides_on_the_routing_cache(self):
-        service = build_service(routing_cache_size=0, decision_cache_size=256)
-        assert service.vra.decision_cache is None  # no epoch, no memo
-        assert service.decide("U2", "movie").chosen_uid in {"U4", "U5"}
+        # Both configs leave the VRA without an epoch cache, so a memo
+        # size would be dropped silently; the service refuses them instead.
+        for no_routing_cache in (
+            {"routing_cache_size": 0},
+            {"use_server_load_in_vra": True},
+        ):
+            with pytest.raises(ServiceError, match="requires the routing cache"):
+                VoDService(
+                    Simulator(),
+                    build_grnet_topology(),
+                    ServiceConfig(decision_cache_size=256, **no_routing_cache),
+                )
 
     def test_default_config_leaves_the_memo_off(self):
         service = build_service()

@@ -1,10 +1,8 @@
-"""Property tests: fault storms overflowing the change journal are safe.
+"""Property tests: fault storms never leave the routing cache stale.
 
-A fault storm can mutate more links between two VRA decisions than the
-bounded :class:`~repro.changes.ChangeJournal` can hold.  The contract
-under overflow is *degrade, never lie*: ``since()`` returns ``None``, the
-delta probe reports "unknown", and the routing cache falls back to a full
-flush — so a delta-cached VRA still produces exactly the decisions a
+A fault storm can flap and reload many links between two VRA decisions.
+Each mutation moves the routing epoch, and the epoch cache must flush on
+it — so an epoch-cached VRA still produces exactly the decisions a
 cache-less VRA computes from scratch.  A stale route would mean streaming
 over a link the storm already killed.
 """
@@ -27,12 +25,12 @@ EDGES = (
     ("A", "E", 10.0),
     ("B", "D", 4.0),
 )
-#: Small enough that a modest storm overflows it between decisions.
-JOURNAL_CAPACITY = 4
+#: Most link mutations one storm batch applies between two decisions.
+MAX_STORM_OPS = 12
 
 
-def build_topology(journal_capacity=JOURNAL_CAPACITY):
-    topology = Topology(name="storm", journal_capacity=journal_capacity)
+def build_topology():
+    topology = Topology(name="storm")
     for uid in NODES:
         topology.add_node(Node(uid=uid))
     for a, b, capacity in EDGES:
@@ -40,18 +38,11 @@ def build_topology(journal_capacity=JOURNAL_CAPACITY):
     return topology
 
 
-def delta_vra(topology):
-    """A delta-cached VRA wired to the topology journal (ground truth)."""
-    cursor = {"topo": topology.change_journal.head}
-
-    def delta_of():
-        cursor["topo"], names = topology.change_journal.since(cursor["topo"])
-        return names
-
+def cached_vra(topology):
+    """An epoch-cached VRA over ground-truth link usage."""
     return VirtualRoutingAlgorithm(
         topology,
         epoch_of=lambda: (topology.traffic_version, topology.state_version),
-        delta_of=delta_of,
     )
 
 
@@ -85,7 +76,7 @@ storm_ops = st.lists(
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
     min_size=0,
-    max_size=3 * JOURNAL_CAPACITY,  # routinely overflows the journal
+    max_size=MAX_STORM_OPS,
 )
 storm_runs = st.lists(
     st.tuples(storm_ops, st.sampled_from(NODES)), min_size=2, max_size=8
@@ -94,43 +85,20 @@ storm_runs = st.lists(
 
 @given(storm_runs)
 @settings(max_examples=60, deadline=None)
-def test_overflowing_storms_never_yield_stale_routes(runs):
+def test_storms_never_yield_stale_routes(runs):
     topology = build_topology()
-    cached = delta_vra(topology)
-    assert cached.delta_maintenance
+    cached = cached_vra(topology)
     plain = VirtualRoutingAlgorithm(topology)
     for ops, home in runs:
         apply_storm(topology, ops)
         assert fingerprint(cached, home) == fingerprint(plain, home)
 
 
-def test_overflow_degrades_to_full_flush():
-    """Deterministic pin: a storm bigger than the journal forces the full
-    flush (not a partial patch), and the decision still matches cold."""
-    topology = build_topology()
-    cached = delta_vra(topology)
-    plain = VirtualRoutingAlgorithm(topology)
-    assert fingerprint(cached, "A") == fingerprint(plain, "A")  # warm the cache
-
-    link = topology.link_named("B-C")
-    for step in range(JOURNAL_CAPACITY + 1):  # one more than capacity
-        link.set_background_mbps(float(step + 1))
-    assert fingerprint(cached, "A") == fingerprint(plain, "A")
-    stats = cached.cache_stats
-    assert stats.full_invalidations >= 1
-
-    # Below-capacity churn afterwards goes back to the delta path.
-    partial_before = stats.partial_invalidations
-    link.set_background_mbps(0.5)
-    assert fingerprint(cached, "A") == fingerprint(plain, "A")
-    assert cached.cache_stats.partial_invalidations == partial_before + 1
-
-
 def test_storm_killing_every_route_matches_cold_error():
     """All links down mid-storm: both VRAs must refuse identically, and
     both must recover identically when one path returns."""
     topology = build_topology()
-    cached = delta_vra(topology)
+    cached = cached_vra(topology)
     plain = VirtualRoutingAlgorithm(topology)
     for link in topology.links():
         link.online = False
