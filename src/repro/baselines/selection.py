@@ -1,8 +1,8 @@
 """Server-selection baselines.
 
-Each class exposes the same ``decide(home_uid, title_id, holders, poll)``
-surface as :class:`repro.core.vra.VirtualRoutingAlgorithm` and returns a
-:class:`~repro.core.vra.VraDecision`, so a
+Each class exposes the same ``decide(home_uid, title_id, holders, poll,
+cache_key)`` surface as :class:`repro.core.vra.VirtualRoutingAlgorithm`
+and returns a :class:`~repro.core.vra.VraDecision`, so a
 :class:`~repro.core.service.VoDService` can be switched to a baseline by
 assigning ``service.vra = MinHopSelection(service.topology)``.
 
@@ -21,7 +21,7 @@ picked:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.core.vra import PollFn, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
@@ -43,8 +43,13 @@ class _BaselineSelection:
         title_id: str,
         holders: Sequence[str],
         poll: Optional[PollFn] = None,
+        cache_key: Optional[Hashable] = None,
     ) -> VraDecision:
-        """Pick a source server; same contract as the VRA's ``decide``."""
+        """Pick a source server; same contract as the VRA's ``decide``.
+
+        ``cache_key`` is accepted and ignored: baselines keep no decision
+        memo.
+        """
         self.decision_count += 1
         if not holders:
             raise TitleUnavailableError(f"no server has title {title_id!r}")

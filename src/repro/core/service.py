@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, Hashable, List, Optional, Tuple, Union
 
 from repro.client.client import Client
 from repro.client.requests import VideoRequest
@@ -266,8 +266,10 @@ class ServiceConfig:
             plus ``obs.memory.*`` gauges (peak RSS, live allocated
             blocks) sampled on the sim clock.  Wall-clock timings are
             not replay-deterministic, so this stays off for seeded
-            equivalence runs; requires ``observability=True`` to record
-            anything.  Default off — disabled timers are shared no-ops.
+            equivalence runs; requires an enabled registry
+            (``observability=True``, or one passed to the service), else
+            the service raises ``ServiceError``.  Default off — disabled
+            timers are shared no-ops.
     """
 
     cluster_mb: float = 64.0
@@ -383,6 +385,11 @@ class VoDService:
             else MetricsRegistry(enabled=self.config.observability)
         )
         self._obs_enabled = self.obs.enabled
+        if self.config.phase_profiling and not self._obs_enabled:
+            raise ServiceError(
+                "phase_profiling=True records nothing without observability: "
+                "set observability=True or pass an enabled registry"
+            )
         #: Per-request session spans (populated only when observability
         #: is on).
         self.spans: List[SessionSpan] = []
@@ -400,6 +407,11 @@ class VoDService:
         self._subnet_map: Dict[str, str] = {}
         self._clients: Dict[str, Client] = {}
         self.sessions: List[SessionRecord] = []
+        #: Session processes that died of an uncaught exception.  Sessions
+        #: turn every modelled failure (a ReproError) into a failed record
+        #: themselves, so anything here is a defect; see
+        #: :meth:`check_sessions`.
+        self.crashed_sessions: List[Process] = []
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
         #: residency, disk health, stream slots).  Together with the
@@ -1370,12 +1382,24 @@ class VoDService:
 
         session = self._build_session(request, video, home_server, dma_stored, span)
         self.sessions.append(session.record)
-        process = Process(
-            self.sim, session.run(), name=f"session:{client_id}:{title_id}"
-        )
+        process = self._spawn(session.run(), f"session:{client_id}:{title_id}")
         if self.supervisor is not None:
             self.supervisor.adopt(session, process)
         return request, session, process
+
+    def _spawn(self, body: Generator[Any, Any, Any], name: str) -> Process:
+        """Run a session body as a process whose crash is recorded."""
+        return Process(self.sim, body, name=name, on_error=self.crashed_sessions.append)
+
+    def check_sessions(self) -> None:
+        """Re-raise the first exception a session process died of, if any.
+
+        A session still running when the simulation stops is not an
+        error (a horizon can cut it off); one that raised out of its
+        generator is, and without this check it would pass as unfinished.
+        """
+        if self.crashed_sessions:
+            self.crashed_sessions[0].check()
 
     def _build_session(
         self,
@@ -1608,10 +1632,9 @@ class VoDService:
         """
         session = self._build_session(request, video, home_server, dma_stored, span)
         self.sessions.append(session.record)
-        process = Process(
-            self.sim,
+        process = self._spawn(
             self._requeue_body(request, video, home_server, dma_stored, span, session),
-            name=f"requeued:{request.request_id}",
+            f"requeued:{request.request_id}",
         )
         if self.supervisor is not None:
             self.supervisor.adopt(session, process)
@@ -1688,7 +1711,7 @@ class VoDService:
             result = yield from session.run()
             return result
 
-        process = Process(self.sim, delayed(), name=f"queued:{request.request_id}")
+        process = self._spawn(delayed(), f"queued:{request.request_id}")
         if self.supervisor is not None:
             self.supervisor.adopt(session, process)
         return request, session, process
@@ -1735,7 +1758,7 @@ class VoDService:
             return session.record
             yield  # pragma: no cover - makes this a generator
 
-        process = Process(self.sim, _already_shed(), name=f"shed:{request.request_id}")
+        process = self._spawn(_already_shed(), f"shed:{request.request_id}")
         return request, session, process
 
     def _block_request(
@@ -1763,7 +1786,7 @@ class VoDService:
             return session.record
             yield  # pragma: no cover - makes this a generator
 
-        process = Process(self.sim, _already_blocked(), name=f"blocked:{request.request_id}")
+        process = self._spawn(_already_blocked(), f"blocked:{request.request_id}")
         return request, session, process
 
     def _on_session_finish(

@@ -185,7 +185,12 @@ def build_service(experiment: ServiceExperiment) -> VoDService:
 
 
 def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
-    """Run one experiment end to end and summarise it."""
+    """Run one experiment end to end and summarise it.
+
+    Raises:
+        Exception: The first exception a session process died of
+            (:meth:`~repro.core.service.VoDService.check_sessions`).
+    """
     service = build_service(experiment)
     sim = service.sim
     if experiment.service_hook is not None:
@@ -212,6 +217,7 @@ def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
     if horizon is None:
         horizon = experiment.start_time + experiment.scenario.duration_s + 3 * 3600.0
     sim.run(until=horizon)
+    service.check_sessions()
     # Stop periodic tasks implicitly by abandoning the simulator; sessions
     # that outlive the horizon are reported as incomplete by the metrics.
     return SweepResult(

@@ -182,6 +182,10 @@ def run_resilience_experiment(
 
     Returns:
         The :class:`ResilienceRun` with the deterministic report.
+
+    Raises:
+        Exception: The first exception a session process died of
+            (:meth:`~repro.core.service.VoDService.check_sessions`).
     """
     if config is None:
         config = ServiceConfig(
@@ -243,6 +247,7 @@ def run_resilience_experiment(
     # Drain well past the horizon so backed-off sessions finish and the
     # last fault windows close (schedule recoveries may outlive them).
     sim.run(until=max(duration_s, schedule.horizon_s) + 3 * 3600.0)
+    service.check_sessions()
 
     report = _build_report(name, seed, duration_s, service, injector, schedule)
     return ResilienceRun(

@@ -7,27 +7,33 @@ half-updated by an admission failure mid-path.
 
 Hot-path shape: flash crowds reserve and release the same few node paths
 over and over, so the manager memoizes the path → link-tuple resolution
-(valid forever — links are never removed and parallel links are rejected,
-so an existing node pair can never resolve differently).  Reservation is
-check-then-commit: every link's free capacity is validated up front with
-the exact acceptance test :meth:`~repro.network.link.Link.reserve` applies,
-and only then are the links mutated — a failed admission touches nothing
-(no reserve/rollback churn in the link telemetry or the version counters).
+together with whether those links are distinct (valid forever — links are
+never removed and parallel links are rejected, so an existing node pair can
+never resolve differently).  Reservation is check-then-commit: every link's
+free capacity is validated up front with the exact acceptance test
+:meth:`~repro.network.link.Link.reserve` applies, and only then are the
+links mutated — a failed admission touches nothing (no reserve/rollback
+churn in the link telemetry or the version counters) and raises a
+:class:`~repro.network.link.CapacityShortfall` whose message is formatted
+only if read: in a congested run most transfer quanta end that way.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import FlowError, LinkCapacityError
-from repro.network.link import Link
+from repro.network.link import CapacityShortfall, Link
 from repro.network.topology import Topology
 
 #: Bound on memoized path resolutions; a pathological workload that never
 #: repeats a path clears the memo instead of growing it without limit.
 PATH_MEMO_CAPACITY = 4096
+
+_free_mbps = attrgetter("free_mbps")
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,8 @@ class FlowManager:
         self._topology = topology
         self._ids = itertools.count(1)
         self._active: Dict[int, Flow] = {}
-        self._path_links: Dict[Tuple[str, ...], Tuple[Link, ...]] = {}
+        #: node path -> (its links, True when no link repeats).
+        self._path_links: Dict[Tuple[str, ...], Tuple[Tuple[Link, ...], bool]] = {}
 
     @property
     def active_count(self) -> int:
@@ -68,18 +75,23 @@ class FlowManager:
         """Snapshot of active flows."""
         return list(self._active.values())
 
-    def _links_of(self, node_path: Iterable[str]) -> Tuple[Link, ...]:
-        """Memoized path → link-tuple resolution (TopologyError on bad paths;
-        only successful resolutions are cached, and they stay valid because
-        links are never removed)."""
+    def _resolve(self, node_path: Iterable[str]) -> Tuple[Tuple[Link, ...], bool]:
+        """Memoized path → (link tuple, links-are-distinct) resolution
+        (TopologyError on bad paths; only successful resolutions are
+        cached, and they stay valid because links are never removed)."""
         key = tuple(node_path)
-        links = self._path_links.get(key)
-        if links is None:
+        resolved = self._path_links.get(key)
+        if resolved is None:
             if len(self._path_links) >= PATH_MEMO_CAPACITY:
                 self._path_links.clear()
             links = tuple(self._topology.path_links(key))
-            self._path_links[key] = links
-        return links
+            resolved = (links, len(set(links)) == len(links))
+            self._path_links[key] = resolved
+        return resolved
+
+    def _links_of(self, node_path: Iterable[str]) -> Tuple[Link, ...]:
+        """The memoized link tuple of a node path."""
+        return self._resolve(node_path)[0]
 
     def reserve(self, node_path: List[str], rate_mbps: float) -> Flow:
         """Atomically reserve ``rate_mbps`` along ``node_path``.
@@ -97,15 +109,16 @@ class FlowManager:
             raise FlowError("flow path must contain at least one node")
         if not (rate_mbps > 0.0):
             raise FlowError(f"flow rate must be positive, got {rate_mbps!r}")
-        links = self._links_of(node_path)
-        if len(set(links)) == len(links):
+        links, distinct = self._resolve(node_path)
+        if distinct:
             # Normal case — no repeated links (shortest paths are simple).
             # Check every link with Link.reserve's own acceptance test,
             # then commit; the commit cannot fail because the links are
             # distinct, so no rollback path is needed.
             for link in links:
-                if rate_mbps > link.free_mbps + 1e-9:
-                    link.reserve(rate_mbps)  # raises the canonical error
+                free = link.free_mbps
+                if rate_mbps > free + 1e-9:
+                    raise CapacityShortfall(link.name, rate_mbps, free)
             for link in links:
                 link.reserve(rate_mbps)
         else:
@@ -147,4 +160,4 @@ class FlowManager:
         links = self._links_of(node_path)
         if not links:
             return float("inf")
-        return min(link.free_mbps for link in links)
+        return min(map(_free_mbps, links))

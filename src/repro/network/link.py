@@ -15,7 +15,6 @@ single used-bandwidth figure, matching how Table 2 reports each link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import LinkCapacityError
@@ -32,68 +31,115 @@ def link_key(a_uid: str, b_uid: str) -> Tuple[str, str]:
     return (a_uid, b_uid) if a_uid <= b_uid else (b_uid, a_uid)
 
 
-@dataclass
+class CapacityShortfall(LinkCapacityError):
+    """A reservation that does not fit in a link's spare capacity.
+
+    ``args`` is ``(link name, requested Mbps, free Mbps)``.  A congested
+    run raises one on most transfer quanta (each a floor fallback the
+    session absorbs), so the message is formatted only when read.
+    """
+
+    def __str__(self) -> str:
+        name, mbps, free = self.args
+        return (
+            f"link {name}: reserving {mbps:.3f} Mbps exceeds free "
+            f"capacity {free:.3f} Mbps"
+        )
+
+
 class Link:
     """An undirected network link.
 
     Attributes:
         a_uid: One endpoint's node uid.
         b_uid: Other endpoint's node uid.
-        capacity_mbps: Total bandwidth of the link (LBW in the paper).
+        capacity_mbps: Total bandwidth of the link (LBW in the paper);
+            fixed at construction.
         name: Human-readable label, e.g. ``"Patra-Athens"``.
         attributes: Free-form metadata.
+
+    Spare capacity (:attr:`free_mbps`) is stored, not derived per read:
+    construction and the three mutators that move it
+    (:meth:`set_background_mbps`, :meth:`reserve`, :meth:`release`)
+    recompute it with the one expression in :meth:`_refresh_free`, and
+    nothing else writes it.
     """
 
-    a_uid: str
-    b_uid: str
-    capacity_mbps: float
-    name: str = ""
-    attributes: Dict[str, object] = field(default_factory=dict)
-    #: Administrative/operational state.  A failed link (``online=False``)
-    #: is skipped by routing and excluded from the LVN node validations;
-    #: existing reservations are not forcibly torn down (in-flight cluster
-    #: transfers finish at their current rate and reroute at the next
-    #: cluster boundary, the same cadence the paper's switching uses).
-    online: bool = True
-    _background_mbps: float = field(default=0.0, repr=False)
-    _reserved_mbps: float = field(default=0.0, repr=False)
-    #: Monotonic counter of online/offline transitions (routing-relevant
-    #: *structural* state).  Feeds the epoch-versioned routing cache.
-    _state_version: int = field(default=0, repr=False, compare=False)
-    #: Monotonic counter of used-bandwidth mutations (background traffic
-    #: and flow reservations) — routing-relevant only on the ground-truth
-    #: (``use_reported_stats=False``) path.
-    _traffic_version: int = field(default=0, repr=False, compare=False)
-    #: Telemetry: reservations granted over the link's lifetime, and the
-    #: high-water mark of concurrently reserved VoD bandwidth.
-    _reserve_count: int = field(default=0, repr=False, compare=False)
-    _peak_reserved_mbps: float = field(default=0.0, repr=False, compare=False)
-    #: Set by :meth:`Topology.add_link` so the owning topology can expose a
-    #: combined version without scanning every link per lookup.  Called with ``(kind, link)``.
-    _version_listener: Optional[Callable[[str, "Link"], None]] = field(
-        default=None, repr=False, compare=False
+    __slots__ = (
+        "a_uid",
+        "b_uid",
+        "capacity_mbps",
+        "name",
+        "attributes",
+        "_online",
+        "_background_mbps",
+        "_reserved_mbps",
+        "_free_mbps",
+        "_state_version",
+        "_traffic_version",
+        "_reserve_count",
+        "_peak_reserved_mbps",
+        "_version_listener",
     )
 
-    def __post_init__(self) -> None:
-        if not (self.capacity_mbps > 0.0):
+    def __init__(
+        self,
+        a_uid: str,
+        b_uid: str,
+        capacity_mbps: float,
+        name: str = "",
+        attributes: Optional[Dict[str, object]] = None,
+        online: bool = True,
+    ):
+        if not (capacity_mbps > 0.0):
             raise LinkCapacityError(
-                f"link capacity must be positive, got {self.capacity_mbps!r}"
+                f"link capacity must be positive, got {capacity_mbps!r}"
             )
-        self.a_uid, self.b_uid = link_key(self.a_uid, self.b_uid)
-        if not self.name:
-            self.name = f"{self.a_uid}-{self.b_uid}"
+        self.a_uid, self.b_uid = link_key(a_uid, b_uid)
+        self.capacity_mbps = capacity_mbps
+        self.name = name or f"{self.a_uid}-{self.b_uid}"
+        self.attributes: Dict[str, object] = {} if attributes is None else attributes
+        self._online = online
+        self._background_mbps = 0.0
+        self._reserved_mbps = 0.0
+        #: Monotonic counter of online/offline transitions (routing-relevant
+        #: *structural* state).  Feeds the epoch-versioned routing cache.
+        self._state_version = 0
+        #: Monotonic counter of used-bandwidth mutations (background traffic
+        #: and flow reservations) — routing-relevant only on the ground-truth
+        #: (``use_reported_stats=False``) path.
+        self._traffic_version = 0
+        #: Telemetry: reservations granted over the link's lifetime, and the
+        #: high-water mark of concurrently reserved VoD bandwidth.
+        self._reserve_count = 0
+        self._peak_reserved_mbps = 0.0
+        #: Set by :meth:`Topology.add_link` so the owning topology can expose a
+        #: combined version without scanning every link per lookup.  Called
+        #: with ``(kind, link)``.
+        self._version_listener: Optional[Callable[[str, "Link"], None]] = None
+        self._refresh_free()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        # ``online`` is flipped by direct attribute assignment all over the
-        # failure-injection code paths; intercept the transition here so the
-        # routing epoch advances no matter who flips it.
-        if name == "online":
-            previous = self.__dict__.get("online")
-            object.__setattr__(self, name, value)
-            if previous is not None and bool(previous) != bool(value):
-                self._notify(STATE_CHANGE)
-            return
-        object.__setattr__(self, name, value)
+    @property
+    def online(self) -> bool:
+        """Administrative/operational state.
+
+        A failed link (``online=False``) is skipped by routing and excluded
+        from the LVN node validations; existing reservations are not
+        forcibly torn down (in-flight cluster transfers finish at their
+        current rate and reroute at the next cluster boundary, the same
+        cadence the paper's switching uses).  The failure-injection code
+        flips it by plain assignment; a transition advances
+        :attr:`state_version` and notifies the listener, so the routing
+        epoch moves no matter who flips it.
+        """
+        return self._online
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        previous = self._online
+        self._online = value
+        if bool(previous) != bool(value):
+            self._notify(STATE_CHANGE)
 
     # ------------------------------------------------------------------ #
     # change versioning
@@ -110,10 +156,10 @@ class Link:
 
     def _notify(self, kind: str) -> None:
         if kind == STATE_CHANGE:
-            object.__setattr__(self, "_state_version", self.__dict__.get("_state_version", 0) + 1)
+            self._state_version += 1
         else:
-            object.__setattr__(self, "_traffic_version", self.__dict__.get("_traffic_version", 0) + 1)
-        listener = self.__dict__.get("_version_listener")
+            self._traffic_version += 1
+        listener = self._version_listener
         if listener is not None:
             listener(kind, self)
 
@@ -159,6 +205,7 @@ class Link:
         clamped = min(float(mbps), self.capacity_mbps)
         if clamped != self._background_mbps:
             self._background_mbps = clamped
+            self._refresh_free()
             self._notify(TRAFFIC_CHANGE)
 
     @property
@@ -183,8 +230,13 @@ class Link:
 
     @property
     def free_mbps(self) -> float:
-        """Spare capacity in Mbps."""
-        return max(self.capacity_mbps - self.used_mbps, 0.0)
+        """Spare capacity in Mbps: ``capacity - used``, floored at 0."""
+        return self._free_mbps
+
+    def _refresh_free(self) -> None:
+        # The expression the property used to evaluate on every read, so
+        # the stored value is bit-for-bit what deriving it gave.
+        self._free_mbps = max(self.capacity_mbps - self.used_mbps, 0.0)
 
     @property
     def utilization(self) -> float:
@@ -201,16 +253,14 @@ class Link:
         """
         if mbps < 0.0:
             raise LinkCapacityError(f"cannot reserve negative bandwidth {mbps!r}")
-        if mbps > self.free_mbps + 1e-9:
-            raise LinkCapacityError(
-                f"link {self.name}: reserving {mbps:.3f} Mbps exceeds free "
-                f"capacity {self.free_mbps:.3f} Mbps"
-            )
+        if mbps > self._free_mbps + 1e-9:
+            raise CapacityShortfall(self.name, mbps, self._free_mbps)
         if mbps > 0.0:
             self._reserved_mbps += mbps
             self._reserve_count += 1
             if self._reserved_mbps > self._peak_reserved_mbps:
                 self._peak_reserved_mbps = self._reserved_mbps
+            self._refresh_free()
             self._notify(TRAFFIC_CHANGE)
 
     def release(self, mbps: float) -> None:
@@ -226,6 +276,7 @@ class Link:
         if self._reserved_mbps < 1e-12:
             # Snap float dust so an idle link reads exactly zero.
             self._reserved_mbps = 0.0
+        self._refresh_free()
         if mbps > 0.0:
             self._notify(TRAFFIC_CHANGE)
 

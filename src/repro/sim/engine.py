@@ -9,46 +9,73 @@ seed and schedule.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Label, describe
 
 #: Heaps smaller than this are never compacted: sweeping a few dozen
 #: entries off the top lazily is cheaper than any rebuild.
 COMPACTION_FLOOR = 64
 
+#: Handle states.  Only pending handles count in ``pending_count``; a
+#: cancelled handle stays in the heap as a carcass until swept.
+_PENDING, _FIRED, _CANCELLED = 0, 1, 2
+
+_INF = float("inf")
+
 
 class EventHandle:
-    """Cancellation handle returned by :meth:`Simulator.schedule`.
+    """One scheduled event: the engine's record and the caller's handle.
 
-    Cancelling is O(1): the handle is flagged and the engine discards the
-    event when it reaches the top of the heap.
+    The heap holds ``(time, seq, handle)`` entries, so ordering is the
+    C-level tuple comparison and the handle itself is never compared
+    (``seq`` is unique).  The handle carries what firing needs; the
+    immutable :class:`~repro.sim.events.Event` view is built only when
+    :attr:`event` is read.  Cancelling is O(1): the handle is flagged
+    and the engine discards it when it reaches the top of the heap.
     """
 
-    __slots__ = ("event", "_cancelled", "_fired", "_on_cancel")
+    __slots__ = ("_time", "_seq", "_callback", "_args", "_name", "_state", "_sim")
 
-    def __init__(self, event: Event, on_cancel: Optional[Callable[[], None]] = None):
-        self.event = event
-        self._cancelled = False
-        self._fired = False
-        self._on_cancel = on_cancel
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., Any],
+        args: Tuple[Any, ...],
+        name: Label,
+        sim: "Simulator",
+    ):
+        self._time = time
+        self._seq = seq
+        self._callback = callback
+        self._args = args
+        self._name = name
+        self._state = _PENDING
+        self._sim = sim
+
+    @property
+    def event(self) -> Event:
+        """The immutable record of what this handle schedules."""
+        return Event(self._time, self._seq, self._callback, self._args, self._name)
 
     @property
     def cancelled(self) -> bool:
         """True once :meth:`cancel` has been called."""
-        return self._cancelled
+        return self._state == _CANCELLED
 
     @property
     def fired(self) -> bool:
         """True once the event's callback has run."""
-        return self._fired
+        return self._state == _FIRED
 
     @property
     def pending(self) -> bool:
         """True while the event is still waiting in the heap."""
-        return not (self._cancelled or self._fired)
+        return self._state == _PENDING
 
     def cancel(self) -> bool:
         """Prevent the event from firing.
@@ -57,11 +84,10 @@ class EventHandle:
             True if the event was pending and is now cancelled; False if it
             had already fired or was already cancelled.
         """
-        if not self.pending:
+        if self._state != _PENDING:
             return False
-        self._cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
+        self._state = _CANCELLED
+        self._sim._note_cancel()
         return True
 
 
@@ -80,7 +106,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[Tuple[Tuple[float, int], EventHandle]] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -143,7 +169,7 @@ class Simulator:
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
-        name: str = "",
+        name: Label = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` from now.
 
@@ -151,34 +177,39 @@ class Simulator:
             delay: Non-negative offset from the current simulated time.
             callback: Callable invoked when the event fires.
             *args: Positional arguments stored with the event.
-            name: Optional label used in error messages and traces.
+            name: Optional label used in error messages and traces: text,
+                or a zero-argument callable producing it when asked.
 
         Raises:
             SchedulingError: If ``delay`` is negative or not finite.
         """
-        return self.schedule_at(self._now + self._check_delay(delay), callback, *args, name=name)
+        if not (0.0 <= delay < _INF):  # also rejects NaN
+            self._check_delay(delay)
+        time = self._now + float(delay)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, name, self)
+        heapq.heappush(self._heap, (time, seq, handle))
+        self._pending += 1
+        return handle
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., Any],
         *args: Any,
-        name: str = "",
+        name: Label = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time.
 
         Raises:
             SchedulingError: If ``time`` is before the current time.
         """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule event {name or callback!r} at t={time}, "
-                f"which is before current time t={self._now}"
-            )
-        event = Event(time=float(time), seq=self._seq, callback=callback, args=args, name=name)
-        self._seq += 1
-        handle = EventHandle(event, on_cancel=self._note_cancel)
-        heapq.heappush(self._heap, (event.key, handle))
+        time = self._check_time(time, callback, name)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, name, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
 
@@ -206,26 +237,34 @@ class Simulator:
             SchedulingError: On the first invalid entry; the heap is left
                 untouched (no partial batch is scheduled).
         """
-        new: List[Tuple[Tuple[float, int], EventHandle]] = []
-        handles: List[EventHandle] = []
-        for entry in entries:
-            time_value, callback = entry[0], entry[1]
-            args = tuple(entry[2]) if len(entry) > 2 else ()
-            name = entry[3] if len(entry) > 3 else ""
-            if absolute:
-                time = float(time_value)
-                if time < self._now:
-                    raise SchedulingError(
-                        f"cannot schedule event {name or callback!r} at t={time}, "
-                        f"which is before current time t={self._now}"
-                    )
-            else:
-                time = self._now + self._check_delay(time_value)
-            event = Event(time=time, seq=self._seq, callback=callback, args=args, name=name)
-            self._seq += 1
-            handle = EventHandle(event, on_cancel=self._note_cancel)
-            new.append((event.key, handle))
-            handles.append(handle)
+        new: List[Tuple[float, int, EventHandle]] = []
+        now = self._now
+        seq = self._seq
+        # Every record a batch allocates stays live until it fires, so the
+        # cyclic collector can free nothing mid-batch.  Pausing it spares
+        # the collections (full ones scan the whole process heap) that tens
+        # of thousands of new records would otherwise set off.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for entry in entries:
+                size = len(entry)
+                time_value, callback = entry[0], entry[1]
+                args = tuple(entry[2]) if size > 2 else ()
+                name = entry[3] if size > 3 else ""
+                if absolute:
+                    time = self._check_time(time_value, callback, name)
+                elif 0.0 <= time_value < _INF:
+                    time = now + float(time_value)
+                else:
+                    time = now + self._check_delay(time_value)  # raises
+                new.append((time, seq, EventHandle(time, seq, callback, args, name, self)))
+                seq += 1
+        finally:
+            if collecting:
+                gc.enable()
+        self._seq = seq
+        handles = [entry[2] for entry in new]
         if not new:
             return handles
         heap = self._heap
@@ -249,7 +288,7 @@ class Simulator:
 
     def _compact(self) -> None:
         heap = self._heap
-        live = [entry for entry in heap if entry[1].pending]
+        live = [entry for entry in heap if entry[2]._state == _PENDING]
         # In-place so a running event loop holding a reference to the heap
         # list keeps seeing the compacted state.
         heap[:] = live
@@ -258,11 +297,19 @@ class Simulator:
         if self.on_compaction is not None:
             self.on_compaction()
 
+    def _check_time(self, time: float, callback: Callable[..., Any], name: Label) -> float:
+        if time < self._now:
+            raise SchedulingError(
+                f"cannot schedule event {describe(name, callback)!r} at t={time}, "
+                f"which is before current time t={self._now}"
+            )
+        return float(time)
+
     @staticmethod
     def _check_delay(delay: float) -> float:
         if not (delay >= 0.0):  # also rejects NaN
             raise SchedulingError(f"delay must be non-negative and finite, got {delay!r}")
-        if delay == float("inf"):
+        if delay == _INF:
             raise SchedulingError("delay must be finite")
         return float(delay)
 
@@ -274,7 +321,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0][1].event.time
+        return self._heap[0][0]
 
     def step(self) -> Optional[Event]:
         """Fire the single next pending event.
@@ -285,18 +332,13 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return None
-        _, handle = heapq.heappop(self._heap)
-        return self._fire(handle)
-
-    def _fire(self, handle: EventHandle) -> Event:
-        """Execute one popped pending event (clock advance + bookkeeping)."""
-        event = handle.event
-        self._now = event.time
-        handle._fired = True
+        time, _, handle = heapq.heappop(self._heap)
+        self._now = time
+        handle._state = _FIRED
         self._pending -= 1
         self._events_fired += 1
-        event.fire()
-        return event
+        handle._callback(*handle._args)
+        return handle.event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -324,22 +366,28 @@ class Simulator:
         self._stopped = False
         fired = 0
         heap = self._heap
-        sweep = self._drop_cancelled
+        pop = heapq.heappop
         try:
-            # Fused loop: one cancelled-carcass sweep and one heap pop per
-            # event, instead of the peek()+step() pair (each of which swept
-            # the heap top and peek() re-read what step() popped).
+            # One heap read and one pop per event; the firing bookkeeping
+            # is :meth:`step`'s, inlined because this is the hottest loop
+            # of every run.
             while not self._stopped:
-                sweep()
                 if not heap:
                     break
-                handle = heap[0][1]
-                if until is not None and handle.event.time > until:
+                time, _, handle = heap[0]
+                if handle._state:  # a cancelled carcass (fired ones are popped)
+                    pop(heap)
+                    continue
+                if until is not None and time > until:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                heapq.heappop(heap)
-                self._fire(handle)
+                pop(heap)
+                self._now = time
+                handle._state = _FIRED
+                self._pending -= 1
+                self._events_fired += 1
+                handle._callback(*handle._args)
                 fired += 1
         finally:
             self._running = False
@@ -352,11 +400,8 @@ class Simulator:
         self._stopped = True
 
     def _drop_cancelled(self) -> None:
-        """Sweep cancelled carcasses off the heap top.
-
-        The one sweep shared by :meth:`peek`, :meth:`step` and the
-        :meth:`run` loop, so the carcass-skipping rule lives in one place.
-        """
+        """Sweep cancelled carcasses off the heap top (:meth:`peek`,
+        :meth:`step`; the :meth:`run` loop skips them as it pops)."""
         heap = self._heap
-        while heap and not heap[0][1].pending:
+        while heap and heap[0][2]._state:
             heapq.heappop(heap)

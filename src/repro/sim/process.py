@@ -12,17 +12,22 @@ streaming session that alternates "download cluster" / "re-run VRA" steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
 
-@dataclass(frozen=True)
 class Delay:
     """Yield value: suspend the process for ``duration`` simulated seconds."""
 
-    duration: float
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: float):
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"Delay(duration={self.duration!r})"
 
 
 class Signal:
@@ -57,8 +62,11 @@ class Signal:
         self._trigger_count += 1
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            sim.schedule(0.0, process._resume, payload, name=f"signal:{self.name}")
+            sim.schedule(0.0, process._resume, payload, name=self._label)
         return len(waiters)
+
+    def _label(self) -> str:
+        return f"signal:{self.name}"
 
     def _register(self, process: "Process") -> None:
         self._waiters.append(process)
@@ -76,10 +84,21 @@ class Process:
 
     The generator's ``return`` value is captured in :attr:`result`; an
     uncaught exception is captured in :attr:`error` and re-raised from
-    :meth:`check`.
+    :meth:`check`.  ``on_error`` (optional) is called with the process
+    once, when it captures one, so an owner can tell a crash from a
+    process that simply has not finished.
+
+    Wake-up events carry lazy labels (``delay:<name>``, ``start:<name>``,
+    ``poke:<name>``), formatted only if a trace or error asks for them.
     """
 
-    def __init__(self, sim: Simulator, generator: Generator[Any, Any, Any], name: str = ""):
+    def __init__(
+        self,
+        sim: Simulator,
+        generator: Generator[Any, Any, Any],
+        name: str = "",
+        on_error: Optional[Callable[["Process"], None]] = None,
+    ):
         if not hasattr(generator, "send"):
             raise SimulationError(f"Process requires a generator, got {type(generator).__name__}")
         self._sim = sim
@@ -87,12 +106,13 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self.result: Any = None
         self.error: Optional[BaseException] = None
+        self._on_error = on_error
         self._finished = False
         self._pending_handle: Optional[EventHandle] = None
         self.finished_signal = Signal(name=f"{self.name}.finished")
         # Kick off on the next zero-delay tick so construction never runs
         # user code synchronously.
-        self._pending_handle = sim.schedule(0.0, self._resume, None, name=f"start:{self.name}")
+        self._pending_handle = sim.schedule(0.0, self._resume, None, name=self._start_label)
 
     @property
     def finished(self) -> bool:
@@ -140,9 +160,18 @@ class Process:
             return False
         self._pending_handle.cancel()
         self._pending_handle = self._sim.schedule(
-            0.0, self._resume, payload, name=f"poke:{self.name}"
+            0.0, self._resume, payload, name=self._poke_label
         )
         return True
+
+    def _start_label(self) -> str:
+        return f"start:{self.name}"
+
+    def _poke_label(self) -> str:
+        return f"poke:{self.name}"
+
+    def _delay_label(self) -> str:
+        return f"delay:{self.name}"
 
     # ------------------------------------------------------------------ #
     def _resume(self, payload: Any) -> None:
@@ -156,29 +185,35 @@ class Process:
             self._finish()
             return
         except Exception as exc:  # capture, don't kill the event loop
-            self.error = exc
-            self._finish()
+            self._fail(exc)
             return
         self._handle_yield(yielded)
 
     def _handle_yield(self, yielded: Any) -> None:
         if isinstance(yielded, Delay):
             self._pending_handle = self._sim.schedule(
-                yielded.duration, self._resume, None, name=f"delay:{self.name}"
+                yielded.duration, self._resume, None, name=self._delay_label
             )
         elif isinstance(yielded, (int, float)):
             self._pending_handle = self._sim.schedule(
-                float(yielded), self._resume, None, name=f"delay:{self.name}"
+                float(yielded), self._resume, None, name=self._delay_label
             )
         elif isinstance(yielded, WaitSignal):
             yielded.signal._register(self)
         else:
-            self.error = SimulationError(
-                f"process {self.name} yielded unsupported value {yielded!r}; "
-                "yield a Delay, a number, or a WaitSignal"
-            )
             self._generator.close()
-            self._finish()
+            self._fail(
+                SimulationError(
+                    f"process {self.name} yielded unsupported value {yielded!r}; "
+                    "yield a Delay, a number, or a WaitSignal"
+                )
+            )
+
+    def _fail(self, exc: BaseException) -> None:
+        self.error = exc
+        self._finish()
+        if self._on_error is not None:
+            self._on_error(self)
 
     def _finish(self) -> None:
         self._finished = True

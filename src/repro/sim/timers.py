@@ -67,7 +67,7 @@ class PeriodicTask:
             return
         self._running = True
         delay = self._period if start_delay is None else start_delay
-        self._handle = self._sim.schedule(delay, self._fire, name=f"{self.name}:tick")
+        self._handle = self._sim.schedule(delay, self._fire, name=self._tick_label)
 
     def stop(self) -> None:
         """Disarm the task; safe to call from inside the callback."""
@@ -76,10 +76,13 @@ class PeriodicTask:
             self._handle.cancel()
             self._handle = None
 
+    def _tick_label(self) -> str:
+        return f"{self.name}:tick"
+
     def _fire(self) -> None:
         if not self._running:
             return
         self._fire_count += 1
         self._callback()
         if self._running:
-            self._handle = self._sim.schedule(self._period, self._fire, name=f"{self.name}:tick")
+            self._handle = self._sim.schedule(self._period, self._fire, name=self._tick_label)

@@ -155,6 +155,32 @@ class TestRunExperiment:
         first, second = run(), run()
         assert first == second
 
+    @pytest.mark.parametrize("selection", ["minhop", "random", "origin:U1"])
+    def test_selection_baselines_run_their_sessions(self, selection):
+        # The baselines used to reject VoDService.decide's cache_key and
+        # crash every session, which then passed as unfinished.
+        experiment = ServiceExperiment(
+            name="t", scenario=small_scenario(), config=small_config(), selection=selection
+        )
+        result = run_service_experiment(experiment)
+        metrics = result.metrics
+        assert metrics.session_count == len(experiment.scenario.events)
+        assert metrics.completed_count > 0
+
+    def test_a_crashed_session_is_raised_not_left_unfinished(self):
+        class BrokenSelection:
+            def decide(self, *args, **kwargs):
+                raise TypeError("broken selection")
+
+        def install(service):
+            service.vra = BrokenSelection()
+
+        experiment = ServiceExperiment(
+            name="t", scenario=small_scenario(), config=small_config(), service_hook=install
+        )
+        with pytest.raises(TypeError, match="broken selection"):
+            run_service_experiment(experiment)
+
     def test_run_until_override(self):
         experiment = ServiceExperiment(
             name="t",

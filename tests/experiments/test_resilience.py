@@ -59,6 +59,19 @@ class TestReplay:
             second.service
         )
 
+    def test_a_crashed_session_is_raised_not_left_unfinished(self):
+        class BrokenSelection:
+            def decide(self, *args, **kwargs):
+                raise TypeError("broken selection")
+
+        def install(service):
+            service.vra = BrokenSelection()
+
+        with pytest.raises(TypeError, match="broken selection"):
+            run_resilience_experiment(
+                seed=13, duration_s=1800.0, requests_per_node=2, service_hook=install
+            )
+
     def test_different_seed_differs(self):
         kwargs = dict(duration_s=1800.0, requests_per_node=4)
         a = run_resilience_experiment(seed=13, **kwargs)

@@ -38,6 +38,18 @@ class TestReservation:
         assert line.link_between("C", "D").reserved_mbps == 0.0
         assert flows.active_count == 0
 
+    def test_failure_names_the_first_link_that_does_not_fit(self, line):
+        line.link_between("B", "C").set_background_mbps(9.0)
+        line.link_between("C", "D").set_background_mbps(9.5)
+        traffic = [link.traffic_version for link in line.links()]
+        with pytest.raises(LinkCapacityError) as caught:
+            FlowManager(line).reserve(["A", "B", "C", "D"], 2.0)
+        name = line.link_between("B", "C").name
+        assert str(caught.value) == (
+            f"link {name}: reserving 2.000 Mbps exceeds free capacity 1.000 Mbps"
+        )
+        assert [link.traffic_version for link in line.links()] == traffic
+
     def test_empty_path_rejected(self, line):
         with pytest.raises(FlowError):
             FlowManager(line).reserve([], 1.0)

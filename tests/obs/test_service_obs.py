@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.service import ServiceConfig, VoDService
+from repro.errors import ServiceError
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
@@ -162,3 +163,21 @@ class TestBlockedRequests:
         assert service.obs.counter("service.requests_blocked").value == 1.0
         assert len(service.spans) == 1
         assert service.spans[0].status == "failed"
+
+
+class TestPhaseProfilingWiring:
+    def test_profiling_without_observability_is_refused(self, grnet_8am):
+        # It used to build a service whose profiler silently recorded nothing.
+        with pytest.raises(ServiceError, match="phase_profiling"):
+            VoDService(Simulator(), grnet_8am, ServiceConfig(phase_profiling=True))
+
+    def test_profiling_with_observability_records_phases(self, grnet_8am):
+        service = VoDService(
+            Simulator(),
+            grnet_8am,
+            ServiceConfig(observability=True, phase_profiling=True),
+        )
+        assert service.profiler.enabled
+        service.seed_title("U4", VideoTitle("m", size_mb=200.0, duration_s=1200.0))
+        service.decide("U2", "m")
+        assert service.obs.histogram("obs.phase.vra_decide_ms").count == 1

@@ -12,7 +12,7 @@ def sim() -> Simulator:
 
 def heap_pending(sim: Simulator) -> int:
     """Reference count: scan the heap the way the old property did."""
-    return sum(1 for _, handle in sim._heap if handle.pending)
+    return sum(1 for *_, handle in sim._heap if handle.pending)
 
 
 class TestLivePendingCounter:

@@ -82,6 +82,27 @@ class TestProcessBasics:
         with pytest.raises(SimulationError):
             process.check()
 
+    def test_on_error_is_told_of_each_crash_once(self, sim):
+        crashed = []
+
+        def raises():
+            yield Delay(1.0)
+            raise ValueError("boom")
+
+        def bad_yield():
+            yield "not a delay"
+
+        def fine():
+            yield Delay(2.0)
+
+        first = Process(sim, raises(), on_error=crashed.append)
+        second = Process(sim, bad_yield(), on_error=crashed.append)
+        Process(sim, fine(), on_error=crashed.append)
+        sim.run()
+        assert crashed == [second, first]
+        assert isinstance(first.error, ValueError)
+        assert isinstance(second.error, SimulationError)
+
     def test_two_processes_interleave(self, sim):
         log = []
 
